@@ -1,6 +1,6 @@
 """morseflow benchmark: one closed-loop client driving morseflow.cli.main.
 
-    python3 perfbench/run.py --workload torus-suite --seed 1 --seconds 36 --trace 0
+    python3 perfbench/run.py --workload torus-suite --seed 1 --seconds 30 --trace 0
 
 Run from anywhere inside a source checkout; the package is imported from
 the checkout's src/.  One process, one request in flight, no threads,
@@ -8,10 +8,13 @@ MORSEFLOW_THREADS removed from the environment.  Each request is one argv
 handed to `cli.main` in-process; its report is judged by the oracle in
 workloads.py.
 
---trace 0 measures the end-to-end metrics for --seconds.  --trace 1
-replays the first few requests of the stream in passes for --seconds,
-alternating untraced and traced passes, and reports per-layer means per
-request from the traced passes and the tracing overhead between the two.
+A run does a fixed amount of work that takes about --seconds on a 2-vCPU
+VM (workloads.budget), so `attempted` and `failed` depend on the seed and
+--seconds only.  --trace 0 runs that many requests and reports the
+end-to-end metrics.  --trace 1 replays the first few requests of the stream
+in a fixed, even number of passes (workloads.trace_passes), alternating
+untraced and traced passes, and reports per-layer means per request from
+the traced passes and the tracing overhead between the two.
 
 The last line of stdout is one JSON object with the keys correct,
 attempted, failed and metrics; the lines before it describe the run.
@@ -41,7 +44,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 WORK = HERE / ".work"
-SETUP_REPEATS = 5
+SETUP_REPEATS = 7
 
 sys.path.insert(0, str(HERE))
 import tracing    # noqa: E402
@@ -111,13 +114,17 @@ def import_seconds() -> float:
     return time.perf_counter() - t0
 
 
-def set_up(args, workdir: Path):
-    """Median over repeats of (fresh import + input generation)."""
+def set_up(args, workdir: Path, n: int):
+    """Median over repeats of (fresh import + input generation).
+
+    One untimed import first, so that compiling src/ to bytecode in a fresh
+    checkout is not part of any repeat."""
+    import_seconds()
     totals = []
     for _ in range(SETUP_REPEATS):
         t_import = import_seconds()
         t0 = time.perf_counter()
-        reqs = workloads.requests(args.workload, args.seed, workdir)
+        reqs = workloads.requests(args.workload, args.seed, workdir, n)
         totals.append(t_import + time.perf_counter() - t0)
     return reqs, statistics.median(totals)
 
@@ -166,14 +173,10 @@ class Tally:
 
 # --- runs ------------------------------------------------------------------------------
 
-def run_plain(main, reqs, seconds, tally):
+def run_plain(main, reqs, tally):
     times = []
     t0 = time.perf_counter()
-    deadline = t0 + seconds
-    i = 0
-    while not times or time.perf_counter() < deadline:
-        req = reqs[i % len(reqs)]
-        i += 1
+    for req in reqs:
         dt, outcome, n_warn = execute(main, req)
         times.append(dt)
         tally.add(req, outcome, n_warn)
@@ -194,16 +197,14 @@ def end_to_end(times, elapsed, tally, setup_s) -> dict:
     }
 
 
-def run_traced(main, reqs, seconds, tally):
+def run_traced(main, reqs, passes, tally):
     """Alternate untraced and traced passes over the same requests.
 
     The traced passes repeat identical work, so their counters per request
-    do not depend on how many passes fit in the run."""
+    do not depend on the number of passes."""
     tracer = tracing.Tracer()
     plain, traced = [], []
-    deadline = time.perf_counter() + seconds
-    k = 0
-    while k < 2 or time.perf_counter() < deadline:
+    for k in range(passes):
         use = tracer if k % 2 else None
         t0 = time.perf_counter()
         if use is not None:
@@ -215,7 +216,6 @@ def run_traced(main, reqs, seconds, tally):
         finally:
             tracer.uninstall()
         (traced if use is not None else plain).append(time.perf_counter() - t0)
-        k += 1
     overhead = statistics.median(traced) / statistics.median(plain) - 1.0
     metrics = tracing.layer_metrics(tracer, len(traced) * len(reqs), overhead)
     return metrics, len(traced), tracer.missing
@@ -231,8 +231,10 @@ def main(argv=None) -> int:
         return 2
     inherited = os.environ.pop("MORSEFLOW_THREADS", None)
     workdir = WORK / f"{args.workload}-seed{args.seed}"
+    n = (workloads.TRACE_PASS[args.workload] if args.trace
+         else workloads.budget(args.workload, args.seconds))
     try:
-        reqs, setup_s = set_up(args, workdir)
+        reqs, setup_s = set_up(args, workdir, n)
         sys.path.insert(0, str(SRC))
         from morseflow import cli
         if not Path(cli.__file__).resolve().is_relative_to(SRC):
@@ -242,14 +244,14 @@ def main(argv=None) -> int:
         tally = Tally()
         record = environment(args, inherited)
         if args.trace:
-            prefix = reqs[:workloads.TRACE_PASS[args.workload]]
-            metrics, passes, missing = run_traced(cli.main, prefix, args.seconds, tally)
-            record["traced_passes"] = passes
+            passes = workloads.trace_passes(args.workload, args.seconds)
+            metrics, traced, missing = run_traced(cli.main, reqs, passes, tally)
+            record["traced_passes"] = traced
             record["untraced_entry_points"] = missing
-            record["pass_requests"] = len(prefix)
-            samples = passes * len(prefix)
+            record["pass_requests"] = len(reqs)
+            samples = traced * len(reqs)
         else:
-            times, elapsed = run_plain(cli.main, reqs, args.seconds, tally)
+            times, elapsed = run_plain(cli.main, reqs, tally)
             metrics = end_to_end(times, elapsed, tally, setup_s)
             record["elapsed_s"] = elapsed
             samples = len(times)

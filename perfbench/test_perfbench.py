@@ -22,7 +22,8 @@ SPEC = json.loads((bench.ROOT / "BENCHMARK.json").read_text())
 
 
 def _argv(workload, seed, workdir):
-    return [r.argv for r in workloads.requests(workload, seed, workdir)]
+    n = workloads.budget(workload, SPEC["run_seconds"])
+    return [r.argv for r in workloads.requests(workload, seed, workdir, n)]
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
@@ -37,22 +38,33 @@ def test_other_seed_other_argv(workload, tmp_path):
     assert len(a) == len(b) and a != b
 
 
-def test_lift_blocks_hold_every_request_type(tmp_path):
-    reqs = workloads.requests("lift", 3, tmp_path)
-    block = reqs[:len(workloads.CIRCLE_KS) + len(workloads.MASLOV_NS)]
-    assert sorted(r.expect["strips"] // 2 for r in block if r.kind == "circle") \
-        == list(workloads.CIRCLE_KS)
-    assert sorted(r.expect["n"] for r in block if r.kind == "maslov") \
-        == list(workloads.MASLOV_NS)
-    large = [r for r in block if r.kind == "circle" and float(r.argv[-1]) >= 24.0]
-    assert len(large) == workloads.LARGE_EPS_PER_BLOCK
-    assert all((r.known_defect is not None) == (r.expect["strips"] >= 4) for r in large)
+@pytest.mark.parametrize("seed", [3, 4])
+def test_lift_blocks_hold_every_request_type(seed, tmp_path):
+    size = workloads.BLOCK["lift"]
+    reqs = workloads.requests("lift", seed, tmp_path, 2 * size)
+    for block in (reqs[:size], reqs[size:]):
+        assert sorted(r.expect["strips"] // 2 for r in block if r.kind == "circle") \
+            == list(workloads.CIRCLE_KS)
+        assert sorted(r.expect["n"] for r in block if r.kind == "maslov") \
+            == list(workloads.MASLOV_NS)
+        large = [r for r in block if r.kind == "circle" and float(r.argv[-1]) >= 24.0]
+        assert len(large) == workloads.LARGE_EPS_PER_BLOCK
+        assert [r for r in block if r.known_defect is not None] == large
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_budget_is_whole_blocks_and_traced_passes_even(workload):
+    for seconds in (0.5, 1, 30, 60):
+        n = workloads.budget(workload, seconds)
+        assert n >= workloads.BLOCK[workload] and n % workloads.BLOCK[workload] == 0
+        passes = workloads.trace_passes(workload, seconds)
+        assert passes >= 2 and passes % 2 == 0
 
 
 def _counters(workload, seed, n, workdir):
-    reqs = workloads.requests(workload, seed, workdir)[:n]
+    reqs = workloads.requests(workload, seed, workdir, n)
     tally = bench.Tally()
-    metrics, passes, missing = bench.run_traced(cli.main, reqs, 0.0, tally)
+    metrics, passes, missing = bench.run_traced(cli.main, reqs, 2, tally)
     assert passes == 1 and missing == [] and tally.unexpected == 0
     return {k: v for k, v in metrics.items()
             if not k.endswith("_s") and k != "trace_overhead_frac"}
@@ -102,6 +114,9 @@ def test_result_line_names_every_metric(trace, section):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert set(result) == {"correct", "attempted", "failed", "metrics"}
     assert result["correct"] is True and result["attempted"] >= 1
+    if trace == "0":   # one lift block: every k once, four of them truncated
+        assert (result["attempted"], result["failed"]) \
+            == (workloads.BLOCK["lift"], workloads.LARGE_EPS_PER_BLOCK)
     assert {m["name"]: m["unit"] for m in SPEC[section]} \
         == {k: v["unit"] for k, v in result["metrics"].items()}
     assert not (HERE / ".work").exists()

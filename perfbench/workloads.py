@@ -7,8 +7,14 @@ own parameters; the oracle reads only the JSON report the CLI prints.
 Streams are stratified so that any prefix covers the parameter domain
 evenly: continuous parameters follow a Kronecker (R_d) sequence with a
 seeded offset, and `lift` cycles through blocks that hold every request
-type once, in a seeded order.  Run-to-run spread then comes from timing
-noise, not from which fields a short run happened to draw.
+type once, in a seeded order, with the same number of large-epsilon
+requests in each.  Run-to-run spread then comes from timing noise, not
+from which fields a short run happened to draw.
+
+A run does a fixed amount of work, `budget(workload, seconds)` requests:
+the number that takes about `seconds` on a 2-vCPU x86-64 VM.  How many
+requests are attempted, and how many of them fail, therefore depends on
+the seed and `seconds` only, never on how fast the machine ran.
 """
 
 from __future__ import annotations
@@ -22,19 +28,38 @@ import numpy as np
 
 CMAX = 32.0                 # truncation level of morseflow's Novikov field
 CIRCLE_KS = tuple(range(1, 17))
-LARGE_EPS_PER_BLOCK = 4     # of the 16 floer requests in a lift block
+LARGE_EPS_PER_BLOCK = 4     # of the 15 floer requests with k >= 2 in a lift block
 MASLOV_NS = (1, 2, 3)
 MASLOV_FRAMES = 129
 LOOPS_PER_N = 8
 
 WORKLOADS = ("torus-suite", "rp2-suite", "lift")
 
-# Requests per pass of a traced run: 4-9 s a pass, so a traced run of
-# run_seconds alternates several untraced and traced passes.
-TRACE_PASS = {"torus-suite": 4, "rp2-suite": 2, "lift": 2 * (len(CIRCLE_KS) + len(MASLOV_NS))}
+BLOCK = {"torus-suite": 1, "rp2-suite": 1, "lift": len(CIRCLE_KS) + len(MASLOV_NS)}
 
-# Requests generated up front; a run that outlasts them starts over.
-STREAM_LEN = {"torus-suite": 400, "rp2-suite": 200, "lift": 4000}
+# Mean wall seconds of one request on a shared 2-vCPU x86-64 VM (Python
+# 3.11, numpy 2.4), measured on the program as it stood when this benchmark
+# was written, in one of the host's slow stretches (its speed drifts by up
+# to ~35% over tens of minutes), so that a run seldom takes much longer
+# than `seconds`.  Only the amount of work in a run derives from these; no
+# metric does.
+NOMINAL_REQUEST_S = {"torus-suite": 1.9, "rp2-suite": 5.0, "lift": 0.14}
+
+# Requests per pass of a traced run: 5-15 s a pass.
+TRACE_PASS = {"torus-suite": 4, "rp2-suite": 3, "lift": 2 * BLOCK["lift"]}
+
+
+def budget(workload: str, seconds: float) -> int:
+    """Requests in a run of `seconds`: whole blocks, at least one."""
+    block = BLOCK[workload]
+    blocks = round(seconds / (NOMINAL_REQUEST_S[workload] * block))
+    return block * max(1, blocks)
+
+
+def trace_passes(workload: str, seconds: float) -> int:
+    """Passes in a traced run: an even number, at least one of each kind."""
+    pass_s = NOMINAL_REQUEST_S[workload] * TRACE_PASS[workload]
+    return 2 * max(1, round(seconds / (2 * pass_s)))
 
 
 @dataclass(frozen=True)
@@ -135,7 +160,7 @@ def lift_requests(seed: int, n: int, workdir: Path) -> list[Request]:
     out = []
     block = 0
     while len(out) < n:
-        large = set(rng.sample(CIRCLE_KS, LARGE_EPS_PER_BLOCK))
+        large = set(rng.sample(CIRCLE_KS[1:], LARGE_EPS_PER_BLOCK))
         slots = []
         for k in CIRCLE_KS:
             a = rng.uniform(0.05, 0.3)
@@ -151,8 +176,7 @@ def lift_requests(seed: int, n: int, workdir: Path) -> list[Request]:
     return out[:n]
 
 
-def requests(workload: str, seed: int, workdir: Path) -> list[Request]:
-    n = STREAM_LEN[workload]
+def requests(workload: str, seed: int, workdir: Path, n: int) -> list[Request]:
     if workload == "torus-suite":
         return torus_requests(seed, n)
     if workload == "rp2-suite":
