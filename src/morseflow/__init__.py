@@ -1,131 +1,34 @@
 """Morse homology by counting gradient flow lines on model manifolds,
-lifted to a Lagrangian Floer complex over a truncated Novikov field."""
+lifted to a Lagrangian Floer complex over a truncated Novikov field.
 
-from .critpoint import CriticalPoint, find_critical_points, verify_morse
-from .errors import (
-    DegeneratePointError,
-    DimensionError,
-    DomainError,
-    EmptyResultError,
-    ExprSyntaxError,
-    IndexGapError,
-    IndexMismatchError,
-    LoopNotClosedError,
-    MissingPairError,
-    MorseflowError,
-    NoConvergenceError,
-    NotAComplexError,
-    NotCriticalError,
-    NotLagrangianError,
-    QuadratureFailureError,
-    ResolutionWarning,
-    SamplingTooCoarseError,
-    SourceIndexError,
-    StepCollapseError,
-    TruncationExhaustedError,
-    TruncationMismatchError,
-    UnknownIdentifierError,
-    UnknownManifoldError,
-    UsageError,
-)
-from .floer import (
-    ActionWeight,
-    FloerComplex,
-    HFRanks,
-    arnold_bound,
-    build_floer_complex,
-    hf_ranks,
-    strip_area_check,
-    verify_floer_d_squared,
-)
-from .flow import ConnectionCount, Trajectory, basin_scan, connection_counts, count_connecting, integrate
-from .funcexpr import ScalarField, differentiate, eval_expr, parse, to_string
-from .geometry import ManifoldModel, parse_manifold, projective, sphere, torus
-from .gf2chain import (
-    ChainComplexGF2,
-    GF2Matrix,
-    HomologyRanks,
-    MorseInequalityReport,
-    build_complex,
-    homology_ranks,
-    morse_inequalities,
-    verify_d_squared,
-)
-from .maslov import LagrangianLoop, concatenate, maslov_index, validate_loop
-from .novikov import NovikovElement, format_novikov, lambda_rank, parse_novikov
-from .pipeline import MorseRun, run_morse, validate_field
+The names below are the library surface; the modules hold the rest, and
+every error class is importable from `morseflow.errors`.
+"""
+
+from .errors import MorseflowError, ResolutionWarning, UsageError
+from .floer import arnold_bound, build_floer_complex, hf_ranks, strip_area_check
+from .funcexpr import ScalarField
+from .geometry import parse_manifold, projective, sphere, torus
+from .maslov import LagrangianLoop, maslov_index
+from .pipeline import MorseRun, run_morse
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionWeight",
-    "ChainComplexGF2",
-    "ConnectionCount",
-    "CriticalPoint",
-    "DegeneratePointError",
-    "DimensionError",
-    "DomainError",
-    "EmptyResultError",
-    "ExprSyntaxError",
-    "FloerComplex",
-    "GF2Matrix",
-    "HFRanks",
-    "HomologyRanks",
-    "IndexGapError",
-    "IndexMismatchError",
     "LagrangianLoop",
-    "LoopNotClosedError",
-    "ManifoldModel",
-    "MissingPairError",
-    "MorseInequalityReport",
     "MorseRun",
     "MorseflowError",
-    "NoConvergenceError",
-    "NotAComplexError",
-    "NotCriticalError",
-    "NotLagrangianError",
-    "NovikovElement",
-    "QuadratureFailureError",
     "ResolutionWarning",
-    "SamplingTooCoarseError",
     "ScalarField",
-    "SourceIndexError",
-    "StepCollapseError",
-    "Trajectory",
-    "TruncationExhaustedError",
-    "TruncationMismatchError",
-    "UnknownIdentifierError",
-    "UnknownManifoldError",
     "UsageError",
     "arnold_bound",
-    "basin_scan",
-    "build_complex",
     "build_floer_complex",
-    "concatenate",
-    "connection_counts",
-    "count_connecting",
-    "differentiate",
-    "eval_expr",
-    "find_critical_points",
-    "format_novikov",
     "hf_ranks",
-    "homology_ranks",
-    "integrate",
-    "lambda_rank",
     "maslov_index",
-    "morse_inequalities",
-    "parse",
     "parse_manifold",
-    "parse_novikov",
     "projective",
     "run_morse",
     "sphere",
     "strip_area_check",
-    "to_string",
     "torus",
-    "validate_field",
-    "validate_loop",
-    "verify_d_squared",
-    "verify_floer_d_squared",
-    "verify_morse",
 ]

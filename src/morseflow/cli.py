@@ -4,7 +4,7 @@ Subcommands: critpoints, flow, connections, homology, floer, maslov,
 arnold.  Flag values override --config file values (flat key=value
 lines, # comments), which override built-in defaults.  Reports embed
 the fully resolved configuration and are byte-identical for identical
-config + seed.  Exit codes: 0 success, 1 domain errors, 2 usage errors.
+config.  Exit codes: 0 success, 1 domain errors, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from .pipeline import run_morse, validate_field
 
 _DEFAULTS = {
     "manifold": None, "function": None, "grid": None, "scan": 64,
-    "epsilon": 0.05, "tmax": 200.0, "out": None, "seed": None,
-    "start": None, "loop": None, "base": None,
+    "epsilon": 0.05, "tmax": 200.0, "out": None, "start": None,
+    "loop": None, "base": None,
 }
-_INT_KEYS = {"grid", "scan", "seed"}
+_INT_KEYS = {"grid", "scan"}
 _FLOAT_KEYS = {"epsilon", "tmax"}
 
 
@@ -41,7 +41,6 @@ class RunConfig:
     epsilon: float
     tmax: float
     out: str
-    seed: int | None
     start: str | None
     loop: str | None
     base: str | None
@@ -50,7 +49,7 @@ class RunConfig:
         d = {
             "cmd": self.cmd, "manifold": self.manifold, "function": self.function,
             "grid": self.grid, "scan": self.scan, "epsilon": self.epsilon,
-            "tmax": self.tmax, "out": self.out, "seed": self.seed,
+            "tmax": self.tmax, "out": self.out,
         }
         if self.start is not None:
             d["from"] = self.start
@@ -324,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
     for name in _DISPATCH:
         p = sub.add_parser(name)
-        p.add_argument("--manifold", help="torus2, torusN:k, sphere2, rp1, rp2")
+        p.add_argument("--manifold", help=geometry.MANIFOLD_NAMES)
         p.add_argument("--function", help="scalar field expression in x1..xn")
         p.add_argument("--grid", type=int, help="seed grid resolution")
         p.add_argument("--scan", type=int, help="seed sphere scan resolution")
@@ -332,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tmax", type=float, help="integration time limit")
         p.add_argument("--out", choices=("json", "csv"), help="output format")
         p.add_argument("--config", help="key=value config file; flags override")
-        p.add_argument("--seed", type=int, help="seed for perturbation studies")
         if name == "flow":
             p.add_argument("--from", dest="start", help="start point x1,...,xd")
         if name == "maslov":

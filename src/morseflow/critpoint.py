@@ -19,9 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import geometry
-from .errors import EmptyResultError, NotCriticalError
+from .errors import DomainError, EmptyResultError, NotCriticalError
 from .funcexpr import ScalarField
-from .parallel import pmap
 
 RESIDUAL_TOL = 1e-10     # a point counts as critical only below this
 DEDUPE_RADIUS = 1e-6
@@ -137,7 +136,7 @@ def _newton_from_seed(field, m, seed):
                     cand = cand / r
                 try:
                     gc, gcsq = grad_sq(cand)
-                except Exception:
+                except DomainError:
                     t *= 0.5
                     continue
                 if gcsq < gsq * (1.0 - 1e-4 * t) or gcsq <= 1e-24:
@@ -166,7 +165,8 @@ def find_critical_points(field: ScalarField, m: geometry.ManifoldModel,
     seeds = geometry.seed_points(m, grid_resolution)
     found: list[np.ndarray] = []
     residuals: list[float] = []
-    for x in pmap(lambda s: _newton_from_seed(field, m, s), seeds):
+    for seed in seeds:
+        x = _newton_from_seed(field, m, seed)
         if x is None:
             continue
         res = gradient_residual(field, m, x)

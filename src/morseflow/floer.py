@@ -10,12 +10,13 @@ the correspondence supplies the strip geometry.
 strip_area_check validates the exponents: the strip swept by applying
 the fiber-translation Hamiltonian flow phi_t(x, y) = (x, y + t eps df_x)
 to a connecting trajectory has canonical symplectic area equal to the
-action drop eps (f(p) - f(q)).  The check integrates the 2-form over the
-sampled strip by 2D composite quadrature (Hermite-resampled Simpson along
-the trajectory, Simpson across the fiber direction), with straight cap
-segments joining the sampled ends to the exact critical points; since the
-integrand pairs an exact form with the path, only quadrature error - not
-trajectory error - separates the two values.
+action drop eps (f(p) - f(q)).  On the strip psi(s, t) = (u(s), t eps df)
+the 2-form's integrand does not depend on the fiber coordinate t, so the
+area is eps times a line integral along the trajectory, computed by
+Hermite-resampled composite Simpson with straight cap segments joining
+the sampled ends to the exact critical points; since the integrand pairs
+an exact form with the path, only quadrature error - not trajectory
+error - separates the two values.
 
 Setting T = 1 collapses every entry to its coefficient and reproduces
 the Morse boundary matrix bit for bit.
@@ -225,7 +226,6 @@ def strip_area_check(field: ScalarField, m: geometry.ManifoldModel,
                             quadrature=0.0, epsilon=epsilon)
 
     rhs = make_rhs(field, m)
-    grad = field._grad
 
     samples = [np.asarray(p, dtype=float) for p in traj.points]
     derivs = [np.asarray(rhs(tuple(p)), dtype=float) for p in samples]
@@ -243,7 +243,7 @@ def strip_area_check(field: ScalarField, m: geometry.ManifoldModel,
     segs.append((samples[-1], d1, tail, d1))
 
     def pairing(u, du):
-        g = grad(*u)
+        g = field.gradient(u)
         return sum(gi * di for gi, di in zip(g, du))
 
     coarse = 0.0
@@ -254,14 +254,8 @@ def strip_area_check(field: ScalarField, m: geometry.ManifoldModel,
         coarse += (vals[0.0] + 4.0 * vals[0.5] + vals[1.0]) / 6.0
         fine += (vals[0.0] + 4.0 * vals[0.25] + 2.0 * vals[0.5]
                  + 4.0 * vals[0.75] + vals[1.0]) / 12.0
-
-    # fiber direction: the integrand of the canonical 2-form on the strip
-    # psi(s, t) = (u(s), t eps df(u(s))) is independent of t; composite
-    # Simpson across t in [0, 1] therefore just reproduces the s-integrand.
-    t_weights = (1.0 / 6.0, 4.0 / 6.0, 1.0 / 6.0)
-    area_coarse = -epsilon * sum(w * coarse for w in t_weights)
-    area_fine = -epsilon * sum(w * fine for w in t_weights)
-
+    area_coarse = -epsilon * coarse
+    area_fine = -epsilon * fine
     est_err = abs(area_fine - area_coarse) / 15.0
     tol = AREA_RTOL * (1.0 + abs(analytic))
     if est_err > 0.5 * tol:

@@ -40,14 +40,14 @@ import numpy as np
 from . import geometry
 from .critpoint import CriticalPoint, find_critical_points, hessian_in_frame
 from .errors import (
+    DomainError,
     IndexGapError,
     NoConvergenceError,
     ResolutionWarning,
     SourceIndexError,
     StepCollapseError,
 )
-from .funcexpr import ScalarField
-from .parallel import pmap
+from .funcexpr import EVAL_ERRORS, ScalarField
 
 RTOL = 1e-9
 ATOL = 1e-12
@@ -69,18 +69,6 @@ class Trajectory:
     sink_label: int | None
     energy: float
 
-    @property
-    def samples(self):
-        return list(zip(self.times, self.points))
-
-    @property
-    def start(self):
-        return self.points[0]
-
-    @property
-    def end(self):
-        return self.points[-1]
-
 
 @dataclass
 class ConnectionCount:
@@ -95,21 +83,29 @@ class ConnectionCount:
 # --- right-hand side ---------------------------------------------------------
 
 def make_rhs(field: ScalarField, m: geometry.ManifoldModel):
-    """Compiled callable y -> dy/dt = -metric^{-1} grad f as a tuple."""
+    """Compiled callable y -> dy/dt = -metric^{-1} grad f as a tuple.
+
+    Calls field._grad directly; evaluation failures become DomainError."""
     grad = field._grad
     if m.kind == "torus":
         inv = tuple(1.0 / d for d in (m.metric_diag or (1.0,) * m.n))
         rng = tuple(range(m.n))
 
         def rhs(y):
-            g = grad(*y)
+            try:
+                g = grad(*y)
+            except EVAL_ERRORS as exc:
+                raise DomainError(f"gradient evaluation failed: {exc}", y) from exc
             return tuple(-inv[i] * g[i] for i in rng)
         return rhs
 
     rng = tuple(range(m.n + 1))
 
     def rhs(y):
-        g = grad(*y)
+        try:
+            g = grad(*y)
+        except EVAL_ERRORS as exc:
+            raise DomainError(f"gradient evaluation failed: {exc}", y) from exc
         dot = 0.0
         for i in rng:
             dot += g[i] * y[i]
@@ -122,13 +118,11 @@ def make_rhs(field: ScalarField, m: geometry.ManifoldModel):
 def _capture_targets(m: geometry.ManifoldModel, points: list[CriticalPoint]):
     targets = []
     for cp in points:
-        if m.kind == "torus":
-            targets.append((cp.id, (tuple(cp.location),)))
-        elif m.kind == "sphere":
-            targets.append((cp.id, (tuple(cp.location),)))
-        else:
+        if m.kind == "projective":
             u = geometry.unit_lift(m, cp.location)
             targets.append((cp.id, (tuple(u), tuple(-u))))
+        else:
+            targets.append((cp.id, (tuple(cp.location),)))
     return targets
 
 
@@ -277,6 +271,11 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
 def _unstable_basis(field: ScalarField, m: geometry.ManifoldModel,
                     p: CriticalPoint) -> np.ndarray:
     """Columns: eigenvectors of the negative Hessian eigenvalues, ascending."""
+    if p.index == 0:
+        raise SourceIndexError(f"point {p.id} has index 0: no unstable directions")
+    if p.index > 2:
+        raise SourceIndexError(
+            f"seed scans support source index 1 or 2, got {p.index}")
     H = hessian_in_frame(field, m, p.location)
     w, V = np.linalg.eigh(H)
     cols = []
@@ -349,22 +348,18 @@ def basin_scan(field: ScalarField, m: geometry.ManifoldModel, p: CriticalPoint,
     """
     if points is None:
         points = find_critical_points(field, m)
-    entries = _scan(field, m, p, resolution, points, t_max)
+    basis = _unstable_basis(field, m, p)
+    entries = _scan(field, m, p, basis, resolution, points, t_max)
     return [(param, traj.sink_label) for param, _, traj in entries]
 
 
-def _scan(field, m, p, resolution, points, t_max):
-    if p.index == 0:
-        raise SourceIndexError(f"point {p.id} has index 0: no unstable directions")
-    if p.index > 2:
-        raise SourceIndexError(
-            f"seed scans support source index 1 or 2, got {p.index}")
-    basis = _unstable_basis(field, m, p)
+def _scan(field, m, p, basis, resolution, points, t_max):
+    """(parameter, deck key, trajectory) for each seed of p's unstable sphere."""
     if p.index == 1:
         params = [0.0, 0.5]
     else:
         params = [k / resolution for k in range(resolution)]
-    trajs = pmap(lambda prm: _flow_seed(field, m, p, basis, prm, points, t_max), params)
+    trajs = [_flow_seed(field, m, p, basis, prm, points, t_max) for prm in params]
     return [(prm, _deck_key(m, traj, points), traj) for prm, traj in zip(params, trajs)]
 
 
@@ -412,8 +407,10 @@ def _source_analysis(field, m, p, scan_resolution, points, t_max):
     raw: dict[int, int] = {}
     reps: dict[int, list] = {}
     flagged = False
+    basis = _unstable_basis(field, m, p)
+    entries = _scan(field, m, p, basis, scan_resolution, points, t_max)
     if p.index == 1:
-        for _, _, traj in _scan(field, m, p, scan_resolution, points, t_max):
+        for _, _, traj in entries:
             sid = traj.sink_label
             if sid is None:
                 flagged = True
@@ -424,8 +421,6 @@ def _source_analysis(field, m, p, scan_resolution, points, t_max):
             reps.setdefault(sid, []).append(traj)
         return raw, reps, flagged
 
-    entries = _scan(field, m, p, scan_resolution, points, t_max)
-    basis = _unstable_basis(field, m, p)
     bounds = []
     for k in range(len(entries)):
         pa, ka, _ = entries[k]
@@ -499,6 +494,14 @@ def _source_analysis(field, m, p, scan_resolution, points, t_max):
     return raw, reps, flagged
 
 
+def _source_counts(field, m, p, sinks, scan_resolution, points, t_max):
+    """ConnectionCount from p to each of `sinks`, all one index below p."""
+    raw, reps, flagged = _source_analysis(field, m, p, scan_resolution, points, t_max)
+    return [ConnectionCount(source=p.id, sink=q.id, count_mod2=raw.get(q.id, 0) % 2,
+                            raw_count=raw.get(q.id, 0), representatives=reps.get(q.id, []),
+                            flagged=flagged) for q in sinks]
+
+
 def count_connecting(field: ScalarField, m: geometry.ManifoldModel,
                      p: CriticalPoint, q: CriticalPoint,
                      scan_resolution: int = 64,
@@ -510,10 +513,7 @@ def count_connecting(field: ScalarField, m: geometry.ManifoldModel,
             f"index gap {p.index}-{q.index} != 1: moduli space is not rigid")
     if points is None:
         points = find_critical_points(field, m)
-    raw, reps, flagged = _source_analysis(field, m, p, scan_resolution, points, t_max)
-    n = raw.get(q.id, 0)
-    return ConnectionCount(source=p.id, sink=q.id, count_mod2=n % 2, raw_count=n,
-                           representatives=reps.get(q.id, []), flagged=flagged)
+    return _source_counts(field, m, p, [q], scan_resolution, points, t_max)[0]
 
 
 def connection_counts(field: ScalarField, m: geometry.ManifoldModel,
@@ -523,13 +523,7 @@ def connection_counts(field: ScalarField, m: geometry.ManifoldModel,
     out = []
     for p in points:
         sinks = [q for q in points if q.index == p.index - 1]
-        if not sinks:
-            continue
-        raw, reps, flagged = _source_analysis(field, m, p, scan_resolution,
-                                              points, t_max)
-        for q in sinks:
-            n = raw.get(q.id, 0)
-            out.append(ConnectionCount(source=p.id, sink=q.id, count_mod2=n % 2,
-                                       raw_count=n, representatives=reps.get(q.id, []),
-                                       flagged=flagged))
+        if sinks:
+            out.extend(_source_counts(field, m, p, sinks, scan_resolution,
+                                      points, t_max))
     return out

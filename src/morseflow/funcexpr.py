@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from .errors import DimensionError, DomainError, ExprSyntaxError, UnknownIdentifierError
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
+# what a compiled evaluator raises outside the real domain
+EVAL_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
 # --- AST nodes (frozen: structural equality, safe to share) -----------------
@@ -490,19 +492,19 @@ class ScalarField:
     def value(self, point) -> float:
         try:
             return float(self._value(*point))
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        except EVAL_ERRORS as exc:
             raise DomainError(f"evaluation failed: {exc}", tuple(point)) from exc
 
     def gradient(self, point):
         try:
             return self._grad(*point)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        except EVAL_ERRORS as exc:
             raise DomainError(f"gradient evaluation failed: {exc}", tuple(point)) from exc
 
     def hessian(self, point):
         try:
             flat = self._hess(*point)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        except EVAL_ERRORS as exc:
             raise DomainError(f"hessian evaluation failed: {exc}", tuple(point)) from exc
         n = self.dim
         return [[flat[i * n + j] for j in range(n)] for i in range(n)]

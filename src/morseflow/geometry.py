@@ -13,10 +13,6 @@ Point conventions
 Gradient flow on RP^n is run upstairs on the unit-sphere double cover
 (a local isometry for the round quotient metric), so this module also
 exposes the unit lift and a deterministic orthonormal tangent frame.
-The published chart metric for RP^n uses the documented scale with
-g(0) = 4I, i.e. the quotient of the radius-2 round sphere; a constant
-metric scale only reparametrizes flow time and leaves every count,
-index and homology rank unchanged.
 """
 
 from __future__ import annotations
@@ -28,6 +24,7 @@ import numpy as np
 from .errors import DegeneratePointError, DimensionError, UnknownManifoldError
 
 _WRAP_SNAP = 1e-9
+MANIFOLD_NAMES = "torus2, torusN:k, circle, sphere2, rp1, rp2, rp3"
 
 
 @dataclass(frozen=True)
@@ -89,7 +86,7 @@ def parse_manifold(name: str) -> ManifoldModel:
     if name in ("rp1", "rp2", "rp3"):
         return projective(int(name[2:]))
     raise UnknownManifoldError(
-        f"unknown manifold '{name}' (expected torus2, torusN:k, sphere2, rp1, rp2)")
+        f"unknown manifold '{name}' (expected {MANIFOLD_NAMES})")
 
 
 # --- canonical representatives ------------------------------------------------
@@ -125,36 +122,6 @@ def unit_lift(m: ManifoldModel, point) -> np.ndarray:
     if m.kind == "sphere":
         return p
     return p / np.linalg.norm(p)
-
-
-def tangent_project(m: ManifoldModel, point, v) -> np.ndarray:
-    """Project an ambient vector onto the tangent space at `point`.
-
-    Sphere: v - (v.p)p on the unit representative.  Torus and RP^n chart
-    coordinates carry no constraint, so the projection is the identity.
-    """
-    v = np.asarray(v, dtype=float)
-    if m.kind != "sphere":
-        return v.copy()
-    p = canonicalize(m, point)
-    return v - np.dot(v, p) * p
-
-
-def metric(m: ManifoldModel, point) -> np.ndarray:
-    """Chart components of the metric at `point` (an n x n matrix)."""
-    if m.kind == "torus":
-        diag = np.ones(m.n) if m.metric_diag is None else np.asarray(m.metric_diag)
-        return np.diag(diag)
-    if m.kind == "sphere":
-        # components in an orthonormal tangent frame
-        return np.eye(m.n)
-    # RP^n affine chart u (non-pivot coordinates of the canonical rep):
-    # pullback of the radius-2 round quotient, g(0) = 4I
-    p = canonicalize(m, point)
-    pivot = int(np.argmax(np.abs(p)))
-    u = np.delete(p, pivot)
-    w2 = 1.0 + float(np.dot(u, u))
-    return 4.0 * (w2 * np.eye(m.n) - np.outer(u, u)) / (w2 * w2)
 
 
 def distance(m: ManifoldModel, a, b) -> float:

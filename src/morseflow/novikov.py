@@ -135,10 +135,6 @@ def invert(a: NovikovElement) -> NovikovElement:
         "valuation is too small for this truncation level")
 
 
-def valuation(a: NovikovElement) -> float:
-    return a.valuation()
-
-
 def format_novikov(a: NovikovElement) -> str:
     if a.is_zero:
         return "0"

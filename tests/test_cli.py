@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from morseflow import cli, maslov
+from morseflow import cli, geometry, maslov
 
 TORUS_ARGS = ["--manifold", "torus2", "--function", "cos(2*pi*x1) + cos(2*pi*x2)"]
 
@@ -42,9 +42,17 @@ def test_bad_expression_is_usage_error(capsys):
 
 
 def test_unknown_manifold_is_usage_error(capsys):
-    code, _, _ = run_cli(capsys, ["critpoints", "--manifold", "klein",
-                                  "--function", "x1"])
+    code, _, err = run_cli(capsys, ["critpoints", "--manifold", "klein",
+                                    "--function", "x1"])
     assert code == 2
+    listed = err.split("(expected ", 1)[1].split(")", 1)[0]
+    names = [name.strip() for name in listed.split(",")]
+    assert {"circle", "rp3"} <= set(names)
+    for name in names:
+        geometry.parse_manifold(name.replace(":k", ":3"))
+    # the --manifold help text lists the same names
+    assert cli.main(["critpoints", "--help"]) == 0
+    assert listed in " ".join(capsys.readouterr().out.split())
 
 
 def test_missing_function_is_usage_error(capsys):
@@ -71,6 +79,15 @@ def test_domain_error_exits_1(capsys):
                                     "--function", f"({num}) / ({den})"])
     assert code == 1
     assert err.startswith("morseflow: error:")
+
+
+def test_domain_error_inside_flow_exits_1(capsys):
+    # d/dx1 sqrt(x1^2) divides by zero on the x1 = 0 circle the flow starts on
+    code, _, err = run_cli(capsys, ["flow", "--manifold", "sphere2", "--function",
+                                    "x3 + 0.1*sqrt(x1^2)", "--from", "0,0.6,0.8"])
+    assert code == 1
+    assert err.startswith("morseflow: error:")
+    assert "Traceback" not in err
 
 
 def test_homology_report_shape(capsys):
@@ -156,6 +173,16 @@ def test_config_file_unknown_key_rejected(capsys, tmp_path):
     cfg.write_text("granularity = 8\n", encoding="utf-8")
     code, _, _ = run_cli(capsys, ["arnold"] + TORUS_ARGS + ["--config", str(cfg)])
     assert code == 2
+
+
+def test_seed_is_not_an_option(capsys, tmp_path):
+    code, _, _ = run_cli(capsys, ["arnold"] + TORUS_ARGS + ["--seed", "3"])
+    assert code == 2
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = 3\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, ["arnold"] + TORUS_ARGS + ["--config", str(cfg)])
+    assert code == 2
+    assert "unknown config key 'seed'" in err
 
 
 def test_maslov_loop_file(capsys, tmp_path):

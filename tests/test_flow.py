@@ -125,6 +125,21 @@ def test_representatives_end_at_counted_sink(torus):
             assert t.energy > 0
 
 
+def test_count_connecting_matches_connection_counts(torus):
+    # both entry points share one per-source counting path
+    f, m, pts = torus
+    table = {(c.source, c.sink): c for c in flow.connection_counts(f, m, pts)}
+    saddle = next(p for p in pts if p.index == 1)
+    mx = next(p for p in pts if p.index == 2)
+    for p, q in ((saddle, pts[0]), (mx, saddle)):
+        single = flow.count_connecting(f, m, p, q, points=pts)
+        full = table[(p.id, q.id)]
+        assert (single.raw_count, single.count_mod2, single.flagged) == \
+            (full.raw_count, full.count_mod2, full.flagged)
+        assert [t.points for t in single.representatives] == \
+            [t.points for t in full.representatives]
+
+
 def test_index_gap_two_refused(sphere):
     f, m, pts = sphere
     south, north = pts

@@ -1,9 +1,4 @@
-"""Manifold models: canonical forms, metrics, distances.
-
-The projective metric is pinned by an independent arclength oracle: with
-chart components 4[(1+|u|^2)I - u u^T]/(1+|u|^2)^2 the total length of
-RP^1 must come out as 2*pi (the radius-2 circle quotient).
-"""
+"""Manifold models: canonical forms, frames, seed grids, distances."""
 
 import numpy as np
 import pytest
@@ -59,40 +54,6 @@ def test_projective_canonical_pivot_is_one():
         # the antipode lands on the same representative
         q = geometry.canonicalize(m, -x)
         assert np.allclose(p, q)
-
-
-def test_metric_symmetric_positive_definite():
-    rng = np.random.default_rng(4)
-    for m in (geometry.torus(2), geometry.sphere(2), geometry.projective(2)):
-        for _ in range(10):
-            x = rng.normal(size=m.ambient_dim) + 0.1
-            g = geometry.metric(m, geometry.canonicalize(m, x))
-            assert np.allclose(g, g.T)
-            assert np.all(np.linalg.eigvalsh(g) > 0)
-
-
-def test_rp1_total_length_is_two_pi():
-    # two affine charts, each covering the |u| <= 1 half; Simpson quadrature
-    # of sqrt(g(u)) du, doubled.  g(u) = 4/(1+u^2)^2 in dimension one.
-    m = geometry.projective(1)
-    n = 400
-    us = np.linspace(-1.0, 1.0, n + 1)
-    vals = []
-    for u in us:
-        g = geometry.metric(m, (1.0, u))
-        vals.append(np.sqrt(g[0, 0]))
-    h = 2.0 / n
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    half = h / 3.0 * np.dot(w, vals)
-    assert abs(2.0 * half - 2.0 * np.pi) < 1e-9
-
-
-def test_torus_metric_diag_override():
-    m = geometry.torus(2, metric_diag=(1.0, 1.3))
-    g = geometry.metric(m, (0.2, 0.7))
-    assert np.allclose(g, np.diag([1.0, 1.3]))
 
 
 def test_distance_wraps_and_identifies():
