@@ -25,8 +25,13 @@ Counting M(f; p, q) for index difference one:
   covering translates), arcs are distinguished by sink id plus a deck
   label: the integer winding offset of the unwrapped endpoint on the
   torus, the sign of the covering lift on RP^n.  Boundaries are refined
-  by bisection to parameter tolerance 1e-10 (in turns) and attributed to
-  the index-(lambda-1) point the limiting trajectory passes closest to.
+  to parameter tolerance 1e-10 (in turns) by rounds of 64-section that
+  replay bisection on batched probes, and attributed to the
+  index-(lambda-1) point the limiting trajectory passes closest to.
+
+The index-2 scan and refinement need only each seed's deck label, so
+`classify` flows their seeds in one vectorised pass; trajectories that
+are kept (index-1 seeds, representatives) come from scalar `integrate`.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field as dataclass_field
+from itertools import islice
 
 import numpy as np
 
@@ -55,7 +61,8 @@ CAPTURE_RADIUS = 1e-4
 CAPTURE_DWELL = 10
 SEED_EPS = 1e-3
 T_MAX_DEFAULT = 200.0
-PARAM_TOL = 1e-10        # bisection tolerance on the seed parameter, in turns
+PARAM_TOL = 1e-10        # boundary bracket width on the seed parameter, in turns
+K_SECTION = 64           # sub-brackets per refinement round
 SADDLE_ASSIGN_RADIUS = 1e-2
 H_MAX = 1.0
 
@@ -86,30 +93,28 @@ def make_rhs(field: ScalarField, m: geometry.ManifoldModel):
     """Compiled callable y -> dy/dt = -metric^{-1} grad f as a tuple.
 
     Calls field._grad directly; evaluation failures become DomainError."""
-    grad = field._grad
-    if m.kind == "torus":
-        inv = tuple(1.0 / d for d in (m.metric_diag or (1.0,) * m.n))
-        rng = tuple(range(m.n))
+    rhs = _rhs(field._grad, m)
 
-        def rhs(y):
-            try:
-                g = grad(*y)
-            except EVAL_ERRORS as exc:
-                raise DomainError(f"gradient evaluation failed: {exc}", y) from exc
-            return tuple(-inv[i] * g[i] for i in rng)
-        return rhs
-
-    rng = tuple(range(m.n + 1))
-
-    def rhs(y):
+    def checked(y):
         try:
-            g = grad(*y)
+            return rhs(y)
         except EVAL_ERRORS as exc:
             raise DomainError(f"gradient evaluation failed: {exc}", y) from exc
+    return checked
+
+
+def _rhs(grad, m: geometry.ManifoldModel):
+    """y -> -metric^{-1} grad(*y) as a tuple; y holds floats or numpy rows."""
+    if m.kind == "torus":
+        neg_inv = tuple(-1.0 / d for d in (m.metric_diag or (1.0,) * m.n))
+        return lambda y: tuple(c * g for c, g in zip(neg_inv, grad(*y)))
+
+    def rhs(y):
+        g = grad(*y)
         dot = 0.0
-        for i in rng:
-            dot += g[i] * y[i]
-        return tuple(-(g[i] - dot * y[i]) for i in rng)
+        for gi, yi in zip(g, y):
+            dot = dot + gi * yi
+        return tuple(-(gi - dot * yi) for gi, yi in zip(g, y))
     return rhs
 
 
@@ -127,24 +132,19 @@ def _capture_targets(m: geometry.ManifoldModel, points: list[CriticalPoint]):
 
 
 def _target_distance(m: geometry.ManifoldModel, y, reps) -> float:
-    if m.kind == "torus":
-        best = None
-        for c in reps:
-            s = 0.0
-            for yi, ci in zip(y, c):
-                d = abs(yi - ci) % 1.0
-                if d > 0.5:
-                    d = 1.0 - d
-                s += d * d
-            best = s if best is None else min(best, s)
-        return math.sqrt(best)
-    best = None
+    torus = m.kind == "torus"
+    best = math.inf
     for c in reps:
         s = 0.0
         for yi, ci in zip(y, c):
             d = yi - ci
+            if torus:
+                d = abs(d) % 1.0
+                if d > 0.5:
+                    d = 1.0 - d
             s += d * d
-        best = s if best is None else min(best, s)
+        if s < best:
+            best = s
     return math.sqrt(best)
 
 
@@ -182,9 +182,7 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
     dim = len(y)
     rng = tuple(range(dim))
 
-    def fval(p):
-        return field.value(p)
-
+    fval = field.value
     traj = Trajectory([0.0], [y], [fval(y)], source_label, None, 0.0)
 
     # immediate capture: constant trajectory, sink = source
@@ -266,6 +264,93 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
     raise NoConvergenceError(f"no capture within t_max={t_max}", trajectory=traj)
 
 
+# --- batched classification ------------------------------------------------------
+
+def _first_hit(m: geometry.ManifoldModel, Y, centres, ids):
+    """Id of the first point whose capture ball holds each column of Y, else -1."""
+    s = 0.0
+    for yi, ci in zip(Y, centres):
+        d = np.abs(yi - ci[:, None])
+        if m.kind == "torus":
+            d = d - np.floor(d)
+            d = np.minimum(d, 1.0 - d)
+        s = s + d * d
+    inside = np.sqrt(s) < CAPTURE_RADIUS
+    return np.where(inside.any(axis=0), ids[inside.argmax(axis=0)], -1)
+
+
+def classify(field: ScalarField, m: geometry.ManifoldModel, starts,
+             points: list[CriticalPoint], t_max: float = T_MAX_DEFAULT):
+    """Sink id (None once t_max elapses) and endpoint of every row of `starts`.
+
+    Rows are working coordinates (unwrapped torus chart, unit-sphere lift)
+    and flow together in one numpy Dormand-Prince pass, each with its own
+    step size, accept/reject decision, capture dwell and t_max, as
+    `integrate` would flow it alone.  Raises StepCollapseError like
+    `integrate`, and DomainError when the gradient fails on any row.
+    """
+    rhs = _rhs(field.array_gradient, m)
+
+    def f(Y):
+        K = np.empty_like(Y)
+        for i, k in enumerate(rhs(Y)):
+            K[i] = k
+        return K
+
+    targets = _capture_targets(m, points)
+    centres = np.array([c for _, reps in targets for c in reps]).T
+    ids = np.array([cid for cid, reps in targets for _ in reps])
+    y = np.array(starts, dtype=float).T
+    ends, sinks, live = y.T.copy(), [None] * y.shape[1], np.arange(y.shape[1])
+    t, h = np.zeros(len(live)), np.full(len(live), 1e-3)
+    dwell_id = _first_hit(m, y, centres, ids)
+    dwell = np.where(dwell_id < 0, 0, CAPTURE_DWELL)  # a start in a ball stays put
+    try:
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            k1 = f(y)
+            while True:
+                captured = dwell >= CAPTURE_DWELL
+                done = captured | (t >= t_max)
+                if done.any():
+                    for j in np.flatnonzero(done):
+                        sinks[live[j]] = int(dwell_id[j]) if captured[j] else None
+                        ends[live[j]] = y[:, j]
+                    keep = ~done
+                    live, y, t, h, k1 = live[keep], y[:, keep], t[keep], h[keep], k1[:, keep]
+                    dwell_id, dwell = dwell_id[keep], dwell[keep]
+                if not len(live):
+                    return sinks, ends
+                h = np.minimum(np.minimum(h, H_MAX), t_max - t)
+                collapsed = h < 1e-14 * np.maximum(1.0, np.abs(t))
+                if collapsed.any():
+                    raise StepCollapseError(f"step size underflow at t={t[collapsed][0]}")
+                ks = [k1]
+                for s in range(1, 7):
+                    yy = y.copy()
+                    for aj, kj in zip(_A[s], ks):
+                        if aj != 0.0:
+                            yy += (h * aj) * kj
+                    ks.append(f(yy))
+                e = sum(ej * kj for ej, kj in zip(_E, ks) if ej != 0.0) * h
+                r = e / (ATOL + RTOL * np.maximum(np.abs(y), np.abs(yy)))
+                err = np.sqrt(sum(ri * ri for ri in r) / len(r))
+
+                ok = err <= 1.0
+                t = np.where(ok, t + h, t)
+                if m.kind == "torus":
+                    y, k1 = np.where(ok, yy, y), np.where(ok, ks[6], k1)
+                else:
+                    y = np.where(ok, yy / np.sqrt(sum(yi * yi for yi in yy)), y)
+                    k1 = f(y)
+                hit = _first_hit(m, y, centres, ids)
+                dwell = np.where(ok, np.where(hit == dwell_id, dwell + 1, 1) * (hit >= 0), dwell)
+                dwell_id = np.where(ok, hit, dwell_id)
+                fac = np.where(err > 1e-30, 0.9 * np.maximum(err, 1e-30) ** -0.2, 5.0)
+                h = h * np.minimum(5.0, np.maximum(0.2, fac))
+    except EVAL_ERRORS as exc:
+        raise DomainError(f"gradient evaluation failed: {exc}") from exc
+
+
 # --- seed spheres ---------------------------------------------------------------
 
 def _unstable_basis(field: ScalarField, m: geometry.ManifoldModel,
@@ -294,13 +379,15 @@ def _unstable_basis(field: ScalarField, m: geometry.ManifoldModel,
     return np.column_stack(cols)
 
 
-def _seed_state(m: geometry.ManifoldModel, p: CriticalPoint, direction: np.ndarray):
+def _seed_states(m: geometry.ManifoldModel, p: CriticalPoint, basis: np.ndarray,
+                 params) -> np.ndarray:
+    """Working coordinates SEED_EPS from p towards each parameter, one row each."""
+    dirs = np.array([_direction(basis, p.index, prm) for prm in params])
     if m.kind == "torus":
-        return tuple(np.asarray(p.location) + SEED_EPS * direction)
+        return np.asarray(p.location) + SEED_EPS * dirs
     u = geometry.unit_lift(m, p.location)
-    P = geometry.tangent_frame(m, u)
-    v = u + SEED_EPS * (P @ direction)
-    return tuple(v / np.linalg.norm(v))
+    v = u + SEED_EPS * (dirs @ geometry.tangent_frame(m, u).T)
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def _direction(basis: np.ndarray, index: int, param: float) -> np.ndarray:
@@ -310,26 +397,21 @@ def _direction(basis: np.ndarray, index: int, param: float) -> np.ndarray:
     return math.cos(a) * basis[:, 0] + math.sin(a) * basis[:, 1]
 
 
-def _deck_key(m: geometry.ManifoldModel, traj: Trajectory,
-              points: list[CriticalPoint]):
-    """Sink id refined by the covering translate the trajectory landed in."""
-    sid = traj.sink_label
+def _deck_key(m: geometry.ManifoldModel, sid, end, points: list[CriticalPoint]):
+    """Sink id refined by the covering translate the endpoint `end` lies in."""
     if sid is None:
-        return ("unresolved",)
-    end = traj.points[-1]
+        return (None,)
     if m.kind == "torus":
         c = points[sid].location
-        off = tuple(int(round(e - ci)) for e, ci in zip(end, c))
-        return (sid, off)
+        return (sid, tuple(int(round(e - ci)) for e, ci in zip(end, c)))
     if m.kind == "sphere":
         return (sid,)
     u = geometry.unit_lift(m, points[sid].location)
-    s = 1 if sum(e * ui for e, ui in zip(end, u)) >= 0 else -1
-    return (sid, s)
+    return (sid, 1 if sum(e * ui for e, ui in zip(end, u)) >= 0 else -1)
 
 
 def _flow_seed(field, m, p, basis, param, points, t_max):
-    start = _seed_state(m, p, _direction(basis, p.index, param))
+    start = _seed_states(m, p, basis, [param])[0]
     try:
         traj = integrate(field, m, start, t_max=t_max, points=points,
                          source_label=p.id)
@@ -338,54 +420,59 @@ def _flow_seed(field, m, p, basis, param, points, t_max):
     return traj
 
 
-def basin_scan(field: ScalarField, m: geometry.ManifoldModel, p: CriticalPoint,
-               resolution: int, points: list[CriticalPoint] | None = None,
-               t_max: float = T_MAX_DEFAULT) -> list[tuple]:
-    """Seed the unstable sphere of p and report (parameter, sink label) pairs.
-
-    Parameters are in turns: two antipodal seeds {0, 1/2} for index 1, a
-    circle k/resolution for index 2.  Unresolved seeds carry label None.
-    """
-    if points is None:
-        points = find_critical_points(field, m)
-    basis = _unstable_basis(field, m, p)
-    entries = _scan(field, m, p, basis, resolution, points, t_max)
-    return [(param, traj.sink_label) for param, _, traj in entries]
+def _keys(field, m, p, basis, params, points, t_max):
+    """Deck key of the seed at each parameter, classified in one batch."""
+    sinks, ends = classify(field, m, _seed_states(m, p, basis, params), points, t_max)
+    return [_deck_key(m, sid, end, points) for sid, end in zip(sinks, ends)]
 
 
 def _scan(field, m, p, basis, resolution, points, t_max):
-    """(parameter, deck key, trajectory) for each seed of p's unstable sphere."""
+    """(parameter, key, trajectory) for each seed of p's unstable sphere.
+
+    Index-1 seeds are integrated and kept, keyed by sink id; the index-2
+    circle is only classified, keyed by deck key, trajectory None."""
     if p.index == 1:
-        params = [0.0, 0.5]
-    else:
-        params = [k / resolution for k in range(resolution)]
-    trajs = [_flow_seed(field, m, p, basis, prm, points, t_max) for prm in params]
-    return [(prm, _deck_key(m, traj, points), traj) for prm, traj in zip(params, trajs)]
+        trajs = [_flow_seed(field, m, p, basis, prm, points, t_max) for prm in (0.0, 0.5)]
+        return [(prm, (traj.sink_label,), traj) for prm, traj in zip((0.0, 0.5), trajs)]
+    params = [k / resolution for k in range(resolution)]
+    keys = _keys(field, m, p, basis, params, points, t_max)
+    return [(prm, key, None) for prm, key in zip(params, keys)]
 
 
 # --- boundary refinement -----------------------------------------------------------
 
-def _refine_boundaries(field, m, p, basis, points, t_max, a, ka, b, kb):
-    """Boundary triples (parameter, left key, right key) inside (a, b)."""
+def _refine(field, m, p, basis, points, t_max, brackets):
+    """Boundary triples (parameter, left key, right key) inside the brackets.
+
+    A bracket is (a, key at a, b, key at b) with differing keys.  Each round
+    classifies the K_SECTION - 1 inner cut points of every bracket in one
+    batch, then bisects each bracket on these samples, probing what
+    sequential bisection would probe, down to width PARAM_TOL (a boundary)
+    or to adjacent cut points (a bracket for the next round).
+    """
     out = []
-    stack = [(a, ka, b, kb)]
-    while stack:
-        a, ka, b, kb = stack.pop()
-        if ka == kb:
-            continue
-        if b - a <= PARAM_TOL:
-            out.append((0.5 * (a + b), ka, kb))
-            continue
-        mid = 0.5 * (a + b)
-        traj = _flow_seed(field, m, p, basis, mid, points, t_max)
-        km = _deck_key(m, traj, points)
-        if km == ka:
-            stack.append((mid, km, b, kb))
-        elif km == kb:
-            stack.append((a, ka, mid, km))
-        else:
-            stack.append((a, ka, mid, km))
-            stack.append((mid, km, b, kb))
+    while brackets:
+        # the last round needs only the cuts bisection reaches before PARAM_TOL
+        sections = [min(K_SECTION, 2 ** math.ceil(math.log2((b - a) / PARAM_TOL)))
+                    for a, _, b, _ in brackets]
+        params = [a + (b - a) * j / k
+                  for (a, _, b, _), k in zip(brackets, sections) for j in range(1, k)]
+        samples = zip(params, _keys(field, m, p, basis, params, points, t_max))
+        narrowed = []
+        for (a, ka, b, kb), k in zip(brackets, sections):
+            ps, ks = zip((a, ka), *islice(samples, k - 1), (b, kb))
+            halves = [(0, k)]
+            while halves:
+                i, j = halves.pop()
+                if ks[i] == ks[j]:
+                    continue
+                if ps[j] - ps[i] <= PARAM_TOL:
+                    out.append((0.5 * (ps[i] + ps[j]), ks[i], ks[j]))
+                elif j - i == 1:
+                    narrowed.append((ps[i], ks[i], ps[j], ks[j]))
+                else:
+                    halves += [(i, (i + j) // 2), ((i + j) // 2, j)]
+        brackets = narrowed
     return out
 
 
@@ -421,7 +508,7 @@ def _source_analysis(field, m, p, scan_resolution, points, t_max):
             reps.setdefault(sid, []).append(traj)
         return raw, reps, flagged
 
-    bounds = []
+    brackets = []
     for k in range(len(entries)):
         pa, ka, _ = entries[k]
         pb, kb, _ = entries[(k + 1) % len(entries)]
@@ -429,16 +516,15 @@ def _source_analysis(field, m, p, scan_resolution, points, t_max):
             continue
         if (k + 1) % len(entries) == 0:
             pb += 1.0
-        bounds.extend(_refine_boundaries(field, m, p, basis, points, t_max,
-                                         pa, ka, pb, kb))
+        brackets.append((pa, ka, pb, kb))
+    bounds = _refine(field, m, p, basis, points, t_max, brackets)
     bounds.sort(key=lambda t: t[0] % 1.0)
     nb = len(bounds)
     if nb == 0:
         return raw, reps, flagged
 
     def is_saddle_key(key):
-        return (key is not None and key[0] is not None
-                and points[key[0]].index == p.index - 1)
+        return key[0] is not None and points[key[0]].index == p.index - 1
 
     # The boundaries cut the seed circle into arcs.  An arc whose trajecto-
     # ries are captured by an index-(lambda-1) point is the numerical trace

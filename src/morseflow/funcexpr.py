@@ -8,7 +8,8 @@ sqrt are the only functions.
 
 Differentiation is symbolic on the AST (no dual numbers); evaluation
 is either tree-walking (`eval_expr`) or compiled to a plain Python
-lambda (`compile_expr`) for the integrator hot loop.
+function (`compile_tuple`) for the integrator hot loop, over `math`
+for scalars or numpy for arrays.
 """
 
 from __future__ import annotations
@@ -16,11 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DimensionError, DomainError, ExprSyntaxError, UnknownIdentifierError
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
-# what a compiled evaluator raises outside the real domain
-EVAL_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
+# what a compiled evaluator raises outside the real domain; over numpy arrays
+# it raises FloatingPointError under np.errstate(divide/invalid/over="raise")
+EVAL_ERRORS = (ValueError, ZeroDivisionError, OverflowError, FloatingPointError)
 
 
 # --- AST nodes (frozen: structural equality, safe to share) -----------------
@@ -82,6 +86,7 @@ class Call:
 
 
 Expr = Num | Pi | Var | Neg | Add | Sub | Mul | Div | Pow | Call
+_OPERATORS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
 
 # --- lexer -------------------------------------------------------------------
@@ -268,14 +273,8 @@ def to_string(e: Expr) -> str:
         return f"x{e.index}"
     if isinstance(e, Neg):
         return f"(-{to_string(e.arg)})"
-    if isinstance(e, Add):
-        return f"({to_string(e.left)} + {to_string(e.right)})"
-    if isinstance(e, Sub):
-        return f"({to_string(e.left)} - {to_string(e.right)})"
-    if isinstance(e, Mul):
-        return f"({to_string(e.left)} * {to_string(e.right)})"
-    if isinstance(e, Div):
-        return f"({to_string(e.left)} / {to_string(e.right)})"
+    if type(e) in _OPERATORS:
+        return f"({to_string(e.left)} {_OPERATORS[type(e)]} {to_string(e.right)})"
     if isinstance(e, Pow):
         return f"({to_string(e.base)} ^ {e.exponent})"
     if isinstance(e, Call):
@@ -419,48 +418,62 @@ def differentiate(e: Expr, i: int) -> Expr:
 
 # --- compilation ----------------------------------------------------------------
 
-_COMPILE_ENV = {
+_MATH_ENV = {
     "sin": math.sin, "cos": math.cos, "exp": math.exp,
     "log": math.log, "sqrt": math.sqrt, "pi": math.pi,
-    "__builtins__": {},
+}
+_NUMPY_ENV = {
+    "sin": np.sin, "cos": np.cos, "exp": np.exp,
+    "log": np.log, "sqrt": np.sqrt, "pi": math.pi,
 }
 
 
-def _to_python(e: Expr) -> str:
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Pi):
-        return "pi"
-    if isinstance(e, Var):
-        return f"x{e.index}"
-    if isinstance(e, Neg):
-        return f"(-{_to_python(e.arg)})"
-    if isinstance(e, Add):
-        return f"({_to_python(e.left)} + {_to_python(e.right)})"
-    if isinstance(e, Sub):
-        return f"({_to_python(e.left)} - {_to_python(e.right)})"
-    if isinstance(e, Mul):
-        return f"({_to_python(e.left)} * {_to_python(e.right)})"
-    if isinstance(e, Div):
-        return f"({_to_python(e.left)} / {_to_python(e.right)})"
-    if isinstance(e, Pow):
-        return f"({_to_python(e.base)} ** {e.exponent})"
-    if isinstance(e, Call):
-        return f"{e.name}({_to_python(e.arg)})"
-    raise TypeError(f"not an expression node: {e!r}")
+def _source(exprs, dim: int) -> str:
+    """Python source of `def _f(x1, ..., x<dim>)` returning the tuple of exprs.
 
+    Each distinct operation on distinct operands is computed once, into a
+    temporary, as `eval_expr` computes it, so results are bitwise those of
+    `eval_expr` under the same functions.
+    """
+    lines: list = []
+    temps: dict = {}   # code of one operation -> its temporary
+    seen: dict = {}    # id of a node already named -> its temporary
 
-def compile_expr(e: Expr, dim: int):
-    """Compile one expression to a Python callable of dim scalar arguments."""
+    def name(e) -> str:
+        if isinstance(e, Num):
+            return repr(e.value)
+        if isinstance(e, Pi):
+            return "pi"
+        if isinstance(e, Var):
+            return f"x{e.index}"
+        if id(e) not in seen:
+            if isinstance(e, Neg):
+                code = f"-{name(e.arg)}"
+            elif isinstance(e, Pow):
+                code = f"{name(e.base)} ** {e.exponent}"
+            elif isinstance(e, Call):
+                code = f"{e.name}({name(e.arg)})"
+            else:
+                code = f"{name(e.left)} {_OPERATORS[type(e)]} {name(e.right)}"
+            if code not in temps:
+                temps[code] = f"t{len(temps)}"
+                lines.append(f"    {temps[code]} = {code}")
+            seen[id(e)] = temps[code]
+        return seen[id(e)]
+
+    ret = ", ".join(name(e) for e in exprs)
     args = ", ".join(f"x{k}" for k in range(1, dim + 1))
-    return eval(f"lambda {args}: {_to_python(e)}", dict(_COMPILE_ENV))
+    return "\n".join([f"def _f({args}):", *lines, f"    return ({ret},)"])
 
 
-def compile_tuple(exprs, dim: int):
-    """Compile several expressions to one callable returning a tuple."""
-    args = ", ".join(f"x{k}" for k in range(1, dim + 1))
-    body = ", ".join(_to_python(x) for x in exprs)
-    return eval(f"lambda {args}: ({body},)", dict(_COMPILE_ENV))
+def compile_tuple(exprs, dim: int, env: dict = _MATH_ENV):
+    """Compile expressions to one callable of dim arguments returning a tuple.
+
+    `env` binds sin, cos, exp, log, sqrt and pi: `math` by default.
+    """
+    namespace = dict(env, __builtins__={})
+    exec(_source(exprs, dim), namespace)
+    return namespace["_f"]
 
 
 class ScalarField:
@@ -468,7 +481,9 @@ class ScalarField:
 
     `dim` is the number of chart (or homogeneous/ambient) variables the
     expression may mention; partial derivative ASTs and compiled fast
-    evaluators are built once and reused.
+    evaluators are built once and reused.  `value`, `gradient` and
+    `hessian` evaluate on Python floats, so a numpy point fails with a
+    DomainError, never a numpy warning.
     """
 
     def __init__(self, expr: Expr, dim: int, text: str | None = None):
@@ -480,8 +495,10 @@ class ScalarField:
             tuple(differentiate(self.partials[i], j + 1) for j in range(dim))
             for i in range(dim)
         )
-        self._value = compile_expr(expr, dim)
+        self._value = compile_tuple((expr,), dim)
         self._grad = compile_tuple(self.partials, dim)
+        # the same gradient, elementwise over numpy arrays
+        self.array_gradient = compile_tuple(self.partials, dim, _NUMPY_ENV)
         flat = [self.second[i][j] for i in range(dim) for j in range(dim)]
         self._hess = compile_tuple(flat, dim)
 
@@ -491,19 +508,19 @@ class ScalarField:
 
     def value(self, point) -> float:
         try:
-            return float(self._value(*point))
+            return float(self._value(*map(float, point))[0])
         except EVAL_ERRORS as exc:
             raise DomainError(f"evaluation failed: {exc}", tuple(point)) from exc
 
     def gradient(self, point):
         try:
-            return self._grad(*point)
+            return self._grad(*map(float, point))
         except EVAL_ERRORS as exc:
             raise DomainError(f"gradient evaluation failed: {exc}", tuple(point)) from exc
 
     def hessian(self, point):
         try:
-            flat = self._hess(*point)
+            flat = self._hess(*map(float, point))
         except EVAL_ERRORS as exc:
             raise DomainError(f"hessian evaluation failed: {exc}", tuple(point)) from exc
         n = self.dim

@@ -39,6 +39,13 @@ class ManifoldModel:
         return self.n if self.kind == "torus" else self.n + 1
 
     @property
+    def euler(self) -> int:
+        """Euler characteristic: 0 for T^n, 1 + (-1)^n for S^n, 1 - n mod 2 for RP^n."""
+        if self.kind == "torus":
+            return 0
+        return 1 + (-1) ** self.n if self.kind == "sphere" else 1 - self.n % 2
+
+    @property
     def name(self) -> str:
         if self.kind == "torus":
             return f"torus{self.n}" if self.n == 2 else f"torusN:{self.n}"

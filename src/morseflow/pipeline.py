@@ -8,7 +8,7 @@ import numpy as np
 
 from . import flow, geometry, gf2chain
 from .critpoint import CriticalPoint, find_critical_points, verify_morse
-from .errors import DimensionError
+from .errors import DimensionError, DomainError
 from .funcexpr import ScalarField
 
 _PROBES = (0.1234567, 0.6543219, 0.3141592, 0.8765432)
@@ -59,10 +59,20 @@ def run_morse(field: ScalarField, m: geometry.ManifoldModel,
               grid: int | None = None, scan: int = 64,
               t_max: float = flow.T_MAX_DEFAULT,
               points: list[CriticalPoint] | None = None) -> MorseRun:
-    """Critical points, connection counts, complex, ranks, inequalities."""
+    """Critical points, connection counts, complex, ranks, inequalities.
+
+    Refuses (DomainError) critical points no Morse function on m has: an
+    Euler characteristic other than m's, or no minimum or no maximum.
+    """
     validate_field(field, m)
     if points is None:
         points = find_critical_points(field, m, grid)
+    chi = sum((-1) ** p.index for p in points)
+    indices = sorted({p.index for p in points})
+    if chi != m.euler or 0 not in indices or m.n not in indices:
+        raise DomainError(f"critical points have Euler characteristic {chi} ({m.name}: "
+                          f"{m.euler}) and indices {indices} (need 0 and {m.n}): "
+                          "points were missed or the function is not Morse")
     counts = flow.connection_counts(field, m, points, scan_resolution=scan,
                                     t_max=t_max)
     cx = gf2chain.build_complex(points, counts)

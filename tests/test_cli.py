@@ -2,6 +2,7 @@
 precedence.  Everything drives main(argv) in-process."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,34 @@ def test_domain_error_inside_flow_exits_1(capsys):
     assert code == 1
     assert err.startswith("morseflow: error:")
     assert "Traceback" not in err
+
+
+def test_float_fault_in_sweep_is_domain_error_without_warning(capsys):
+    # the odd grid seeds the x1 = 0 circle, where numpy scalars divide by zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, ["critpoints", "--manifold", "sphere2", "--function",
+                                        "x3 + 0.1*sqrt(x1^2)", "--grid", "5"])
+    assert code == 1
+    assert err.startswith("morseflow: error:")
+    assert "Warning" not in err
+
+
+@pytest.mark.parametrize("argv,needle", [
+    # the sweep misses the minimum on the x1 = 0 kink; the two maxima it finds
+    # have the Euler characteristic 2 of S^2, but there is no minimum
+    (["--manifold", "sphere2", "--function", "x3 + 0.1*sqrt(x1^2)"],
+     "Euler characteristic 2 (sphere2: 2) and indices [2] (need 0 and 2)"),
+    # a 3-point grid finds two minima and one maximum of cos(16 pi x)
+    (["--manifold", "circle", "--function", "cos(2*pi*8*x1)", "--grid", "3"],
+     "Euler characteristic 1 (torusN:1: 0)"),
+])
+def test_impossible_critical_points_refused(capsys, argv, needle):
+    code, out, err = run_cli(capsys, ["homology"] + argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("morseflow: error:")
+    assert needle in err
 
 
 def test_homology_report_shape(capsys):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from morseflow import critpoint, flow, geometry, pipeline
-from morseflow.errors import IndexGapError, SourceIndexError
+from morseflow.errors import DomainError, IndexGapError, NoConvergenceError, SourceIndexError
 from morseflow.funcexpr import ScalarField
 
 
@@ -68,33 +68,37 @@ def test_integrate_sphere_equator_to_south(sphere):
         assert abs(np.linalg.norm(y) - 1.0) < 1e-8
 
 
+def scan(f, m, p, pts):
+    return flow._scan(f, m, p, flow._unstable_basis(f, m, p), 64, pts, flow.T_MAX_DEFAULT)
+
+
 def test_basin_scan_index1_two_seeds(torus):
     f, m, pts = torus
     saddle = next(p for p in pts if p.index == 1)
     minimum = next(p for p in pts if p.index == 0)
-    out = flow.basin_scan(f, m, saddle, 64, points=pts)
-    assert [prm for prm, _ in out] == [0.0, 0.5]
-    assert all(label == minimum.id for _, label in out)
+    out = scan(f, m, saddle, pts)
+    assert [prm for prm, _, _ in out] == [0.0, 0.5]
+    assert all(key[0] == minimum.id for _, key, _ in out)
 
 
 def test_basin_scan_index2_all_reach_minimum(torus):
     f, m, pts = torus
     mx = next(p for p in pts if p.index == 2)
     minimum = next(p for p in pts if p.index == 0)
-    out = flow.basin_scan(f, m, mx, 64, points=pts)
+    out = scan(f, m, mx, pts)
     assert len(out) == 64
     # almost every seed drains to the minimum; a seed landing exactly on a
     # separatrix is captured by the saddle it runs into
     saddle_ids = {p.id for p in pts if p.index == 1}
-    for _, label in out:
-        assert label == minimum.id or label in saddle_ids
+    for _, key, _ in out:
+        assert key[0] == minimum.id or key[0] in saddle_ids
 
 
 def test_basin_scan_rejects_index0(torus):
     f, m, pts = torus
     minimum = next(p for p in pts if p.index == 0)
     with pytest.raises(SourceIndexError):
-        flow.basin_scan(f, m, minimum, 64, points=pts)
+        scan(f, m, minimum, pts)
 
 
 def test_count_golden_values(torus):
@@ -184,3 +188,36 @@ def test_rp2_counts(torus):
         counts = flow.connection_counts(f, m, pts)
     table = {(c.source, c.sink): c.raw_count for c in counts}
     assert table == {(1, 0): 2, (2, 1): 2}
+
+
+@pytest.mark.parametrize("text,dim,m", [
+    ("cos(2*pi*x1) + cos(2*pi*x2) + 0.061803*cos(2*pi*(x1 + x2))", 2, geometry.torus(2)),
+    ("(1*x2^2 + 2*x3^2) / (x1^2 + x2^2 + x3^2)", 3, geometry.projective(2)),
+])
+def test_classify_matches_integrate(text, dim, m):
+    # the batch steps every row as integrate steps it alone
+    f = ScalarField.from_text(text, dim)
+    pts = critpoint.find_critical_points(f, m)
+    p = next(q for q in pts if q.index == 2)
+    basis = flow._unstable_basis(f, m, p)
+    starts = flow._seed_states(m, p, basis, [k / 64 for k in range(64)])
+    sinks, ends = flow.classify(f, m, starts, pts)
+    for start, sid, end in zip(starts, sinks, ends):
+        try:
+            traj = flow.integrate(f, m, start, points=pts)
+        except NoConvergenceError as exc:
+            traj = exc.trajectory
+        assert flow._deck_key(m, sid, end, pts) == \
+            flow._deck_key(m, traj.sink_label, traj.points[-1], pts)
+        assert np.max(np.abs(end - np.asarray(traj.points[-1]))) <= 1e-12
+
+
+def test_classify_division_by_zero_is_domain_error():
+    f = ScalarField.from_text("x3 + 0.1*sqrt(x1^2)", 3)
+    m = geometry.sphere(2)
+    pts = critpoint.find_critical_points(f, m)
+    starts = np.array([[0.6, 0.0, 0.8], [0.0, 0.6, 0.8]])  # second row on x1 = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            flow.classify(f, m, starts, pts)

@@ -1,6 +1,7 @@
 """Expression language: parser round trips, symbolic derivatives against a
 finite difference oracle, and the documented error conditions."""
 
+import ast
 import math
 
 import numpy as np
@@ -154,3 +155,39 @@ def test_domain_errors_at_evaluation():
     h = funcexpr.ScalarField.from_text("sqrt(x1)", 1)
     with pytest.raises(DomainError):
         h.value((-4.0,))
+    # numpy scalars divide without a Python exception; still a DomainError
+    with pytest.raises(DomainError):
+        f.value(np.zeros(1))
+    k = funcexpr.ScalarField.from_text("sqrt(x1^2)", 1)
+    with pytest.raises(DomainError):
+        k.gradient(np.zeros(1))
+    with pytest.raises(DomainError):
+        k.hessian(np.zeros(1))
+
+
+FIELDS = [
+    ("cos(2*pi*x1) + cos(2*pi*x2) + 0.061803*cos(2*pi*(x1 + x2))", 2),
+    ("(1*x2^2 + 2*x3^2) / (x1^2 + x2^2 + x3^2)", 3),
+    ("cos(2*pi*x1)", 1),
+]
+
+
+@pytest.mark.parametrize("text,dim", FIELDS)
+def test_compiled_derivatives_equal_tree_walk(text, dim):
+    # subexpression sharing keeps every operation, so values are bitwise equal
+    field = funcexpr.ScalarField.from_text(text, dim)
+    flat = [e for row in field.second for e in row]
+    for probe in [(0.1234567, 0.6543219, 0.3141592), (0.8765432, -0.25, 0.5)]:
+        x = probe[:dim]
+        assert field._value(*x) == (funcexpr.eval_expr(field.expr, x),)
+        assert field._grad(*x) == tuple(funcexpr.eval_expr(e, x) for e in field.partials)
+        assert field._hess(*x) == tuple(funcexpr.eval_expr(e, x) for e in flat)
+
+
+def test_compiled_gradient_computes_each_subexpression_once():
+    field = funcexpr.ScalarField.from_text("(1*x2^2 + 2*x3^2) / (x1^2 + x2^2 + x3^2)", 3)
+    src = funcexpr._source(field.partials, 3)
+    assert "t0 = " in src
+    ops = [ast.dump(node) for node in ast.walk(ast.parse(src))
+           if isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Call))]
+    assert len(ops) == len(set(ops))
