@@ -16,7 +16,9 @@ area is eps times a line integral along the trajectory, computed by
 Hermite-resampled composite Simpson with straight cap segments joining
 the sampled ends to the exact critical points; since the integrand pairs
 an exact form with the path, only quadrature error - not trajectory
-error - separates the two values.
+error - separates the two values.  A trajectory is one numpy pass: two
+weight matrices give every segment's cubic and its derivative at the
+quarter points, and the numpy gradient is evaluated on all nodes at once.
 
 Setting T = 1 collapses every entry to its coefficient and reproduces
 the Morse boundary matrix bit for bit.
@@ -24,17 +26,16 @@ the Morse boundary matrix bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry, novikov
 from .critpoint import CriticalPoint, find_critical_points
-from .errors import NotAComplexError, QuadratureFailureError
-from .flow import ConnectionCount, Trajectory, make_rhs
+from .errors import DomainError, NotAComplexError, QuadratureFailureError
+from .flow import ConnectionCount, Trajectory, array_rhs
 from .gf2chain import GF2Matrix, build_complex
-from .funcexpr import ScalarField
+from .funcexpr import EVAL_ERRORS, ScalarField
 
 EPSILON_DEFAULT = 0.05
 AREA_RTOL = 1e-6
@@ -185,23 +186,13 @@ def _nearest_lift(m: geometry.ManifoldModel, cp: CriticalPoint, anchor) -> np.nd
     return u
 
 
-_H_MID = {  # Hermite basis and derivative values at sigma = 1/4, 1/2, 3/4
-    0.25: (0.84375, 0.140625, 0.15625, -0.046875, -1.125, 0.1875, 1.125, -0.3125),
-    0.5: (0.5, 0.125, 0.5, -0.125, -1.5, -0.25, 1.5, -0.25),
-    0.75: (0.15625, 0.046875, 0.84375, -0.140625, -1.125, -0.3125, 1.125, 0.1875),
-}
-
-
-def _segment_nodes(ya, da, yb, db):
-    """Value and sigma-derivative of the Hermite cubic at the quarter points.
-
-    `da`, `db` are already scaled to sigma-derivatives (du/dsigma)."""
-    nodes = {0.0: (ya, da), 1.0: (yb, db)}
-    for s, (h00, h10, h01, h11, g00, g10, g01, g11) in _H_MID.items():
-        u = h00 * ya + h10 * da + h01 * yb + h11 * db
-        du = g00 * ya + g10 * da + g01 * yb + g11 * db
-        nodes[s] = (u, du)
-    return nodes
+# Hermite cubic on the segment data (ya, da, yb, db): its basis functions
+# and their sigma-derivatives at the nodes sigma = 0, 1/4, 1/2, 3/4, 1 (exact)
+_S = (0.0, 0.25, 0.5, 0.75, 1.0)
+_HERMITE = np.array([(2 * s**3 - 3 * s**2 + 1, s**3 - 2 * s**2 + s, 3 * s**2 - 2 * s**3,
+                      s**3 - s**2) for s in _S])
+_HERMITE_D = np.array([(6 * s**2 - 6 * s, 3 * s**2 - 4 * s + 1, 6 * s - 6 * s**2,
+                        3 * s**2 - 2 * s) for s in _S])
 
 
 def strip_area_check(field: ScalarField, m: geometry.ManifoldModel,
@@ -209,8 +200,12 @@ def strip_area_check(field: ScalarField, m: geometry.ManifoldModel,
                      points: list[CriticalPoint] | None = None) -> ActionWeight:
     """Compare quadrature strip area against the analytic action drop.
 
-    Returns an ActionWeight with both numbers; raises QuadratureFailureError
-    when the internal Richardson estimate cannot certify the tolerance.
+    The head cap, every sampled segment and the tail cap are Hermite cubics
+    on their end values and velocities; Simpson's rule on their quarter and
+    half nodes gives the fine and coarse areas.  Returns an ActionWeight
+    with both numbers; raises QuadratureFailureError when the Richardson
+    estimate from the two cannot certify the tolerance, and DomainError
+    when the gradient fails at a node.
     """
     if traj.source_label is None or traj.sink_label is None:
         raise QuadratureFailureError("trajectory endpoints are unresolved")
@@ -225,35 +220,28 @@ def strip_area_check(field: ScalarField, m: geometry.ManifoldModel,
         return ActionWeight(source=src.id, sink=snk.id, analytic=analytic,
                             quadrature=0.0, epsilon=epsilon)
 
-    rhs = make_rhs(field, m)
-
-    samples = [np.asarray(p, dtype=float) for p in traj.points]
-    derivs = [np.asarray(rhs(tuple(p)), dtype=float) for p in samples]
-
+    samples = np.array(traj.points, dtype=float)
+    h = np.diff(traj.times)[:, None]
     # cap segments join the exact critical points to the sampled ends
     head = _nearest_lift(m, src, samples[0])
     tail = _nearest_lift(m, snk, samples[-1])
-    segs = []
-    d0 = samples[0] - head
-    segs.append((head, d0, samples[0], d0))  # straight line, constant derivative
-    for k in range(len(samples) - 1):
-        h = traj.times[k + 1] - traj.times[k]
-        segs.append((samples[k], h * derivs[k], samples[k + 1], h * derivs[k + 1]))
-    d1 = tail - samples[-1]
-    segs.append((samples[-1], d1, tail, d1))
-
-    def pairing(u, du):
-        g = field.gradient(u)
-        return sum(gi * di for gi, di in zip(g, du))
-
-    coarse = 0.0
-    fine = 0.0
-    for ya, da, yb, db in segs:
-        nd = _segment_nodes(ya, da, yb, db)
-        vals = {s: pairing(u, du) for s, (u, du) in nd.items()}
-        coarse += (vals[0.0] + 4.0 * vals[0.5] + vals[1.0]) / 6.0
-        fine += (vals[0.0] + 4.0 * vals[0.25] + 2.0 * vals[0.5]
-                 + 4.0 * vals[0.75] + vals[1.0]) / 12.0
+    d0, d1 = samples[0] - head, tail - samples[-1]
+    try:
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            derivs = array_rhs(field, m)(samples.T).T
+            # (ya, da, yb, db) of the head cap, every sampled segment, the tail cap
+            ends = np.stack([np.vstack([head, samples[:-1], samples[-1]]),
+                             np.vstack([d0, h * derivs[:-1], d1]),
+                             np.vstack([samples[0], samples[1:], tail]),
+                             np.vstack([d0, h * derivs[1:], d1])])
+            u = np.tensordot(_HERMITE, ends, axes=1)     # (node, segment, coordinate)
+            du = np.tensordot(_HERMITE_D, ends, axes=1)
+            grad = field.array_gradient(*u.T)
+            v0, v1, v2, v3, v4 = sum(g * d for g, d in zip(grad, du.T)).T
+    except EVAL_ERRORS as exc:
+        raise DomainError(f"gradient evaluation failed: {exc}") from exc
+    coarse = np.sum((v0 + 4.0 * v2 + v4) / 6.0)
+    fine = np.sum((v0 + 4.0 * v1 + 2.0 * v2 + 4.0 * v3 + v4) / 12.0)
     area_coarse = -epsilon * coarse
     area_fine = -epsilon * fine
     est_err = abs(area_fine - area_coarse) / 15.0

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dataclass_field
 from itertools import islice
 
@@ -118,6 +119,21 @@ def _rhs(grad, m: geometry.ManifoldModel):
     return rhs
 
 
+def array_rhs(field: ScalarField, m: geometry.ManifoldModel):
+    """Y -> dY/dt as an array, by the `_rhs` formula on each column of Y.
+
+    Uses the numpy gradient; constant partials broadcast over the columns.
+    Callers set the np.errstate under which faults raise."""
+    rhs = _rhs(field.array_gradient, m)
+
+    def f(Y):
+        K = np.empty_like(Y)
+        for i, k in enumerate(rhs(Y)):
+            K[i] = k
+        return K
+    return f
+
+
 # --- capture targets ----------------------------------------------------------
 
 def _capture_targets(m: geometry.ManifoldModel, points: list[CriticalPoint]):
@@ -146,6 +162,37 @@ def _target_distance(m: geometry.ManifoldModel, y, reps) -> float:
         if s < best:
             best = s
     return math.sqrt(best)
+
+
+def _capture_lookup(m: geometry.ManifoldModel, points: list[CriticalPoint]):
+    """y -> id of the first point (in list order) whose capture ball holds y.
+
+    Gives what testing every point in turn gives, but measures only the
+    representatives whose first coordinate (mod 1 on the torus) lies within
+    2 * CAPTURE_RADIUS of y's: no point of a ball is farther than its radius
+    from the centre in any one coordinate."""
+    torus = m.kind == "torus"
+    targets = _capture_targets(m, points)
+    reps = sorted((c[0] % 1.0 if torus else c[0], k, c)
+                  for k, (_, cs) in enumerate(targets) for c in cs)
+    keys = [key for key, _, _ in reps]
+    w = 2.0 * CAPTURE_RADIUS
+
+    def lookup(y):
+        y0 = y[0] % 1.0 if torus else y[0]
+        windows = [y0]
+        if torus and y0 < w:        # balls across the 0 / 1 seam
+            windows.append(y0 + 1.0)
+        if torus and y0 > 1.0 - w:
+            windows.append(y0 - 1.0)
+        first = None
+        for x in windows:
+            for _, k, c in reps[bisect_left(keys, x - w):bisect_right(keys, x + w)]:
+                if (first is None or k < first) and \
+                        _target_distance(m, y, (c,)) < CAPTURE_RADIUS:
+                    first = k
+        return None if first is None else targets[first][0]
+    return lookup
 
 
 # --- Dormand-Prince 5(4) -------------------------------------------------------
@@ -178,7 +225,7 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
     else:
         y = tuple(float(v) for v in geometry.unit_lift(m, start))
     rhs = make_rhs(field, m)
-    targets = _capture_targets(m, points)
+    capture = _capture_lookup(m, points)
     dim = len(y)
     rng = tuple(range(dim))
 
@@ -186,12 +233,12 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
     traj = Trajectory([0.0], [y], [fval(y)], source_label, None, 0.0)
 
     # immediate capture: constant trajectory, sink = source
-    for cid, reps in targets:
-        if _target_distance(m, y, reps) < CAPTURE_RADIUS:
-            traj.sink_label = cid
-            if traj.source_label is None:
-                traj.source_label = cid
-            return traj
+    cid = capture(y)
+    if cid is not None:
+        traj.sink_label = cid
+        if traj.source_label is None:
+            traj.source_label = cid
+        return traj
 
     t = 0.0
     h = 1e-3
@@ -241,11 +288,7 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
             traj.points.append(y)
             traj.f_values.append(fval(y))
 
-            hit = None
-            for cid, reps in targets:
-                if _target_distance(m, y, reps) < CAPTURE_RADIUS:
-                    hit = cid
-                    break
+            hit = capture(y)
             if hit is None:
                 dwell_id, dwell = None, 0
             elif hit == dwell_id:
@@ -289,14 +332,7 @@ def classify(field: ScalarField, m: geometry.ManifoldModel, starts,
     `integrate` would flow it alone.  Raises StepCollapseError like
     `integrate`, and DomainError when the gradient fails on any row.
     """
-    rhs = _rhs(field.array_gradient, m)
-
-    def f(Y):
-        K = np.empty_like(Y)
-        for i, k in enumerate(rhs(Y)):
-            K[i] = k
-        return K
-
+    f = array_rhs(field, m)
     targets = _capture_targets(m, points)
     centres = np.array([c for _, reps in targets for c in reps]).T
     ids = np.array([cid for cid, reps in targets for _ in reps])

@@ -119,6 +119,22 @@ def test_impossible_critical_points_refused(capsys, argv, needle):
     assert needle in err
 
 
+def test_disconnected_ranks_refused(capsys):
+    # the 4-point grid finds 8 of the 12 critical points (chi 0, a minimum and
+    # a maximum); 12 of the 16 counts cannot be attributed and b0 = b2 = 0.
+    # --tmax 20 gives the refusal of the default t_max 200 in a tenth the time:
+    # seeds drained towards the missed points run until t_max either way
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, out, err = run_cli(capsys, ["homology", "--manifold", "torus2", "--function",
+                                          "cos(2*pi*3*x1) + cos(2*pi*x2)", "--grid", "4",
+                                          "--tmax", "20"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("morseflow: error: ranks [0, 0, 0] have b0 = 0 and b2 = 0")
+    assert "12 of 16 counts are flagged" in err
+
+
 def test_homology_report_shape(capsys):
     code, out, _ = run_cli(capsys, ["homology"] + TORUS_ARGS)
     assert code == 0

@@ -6,11 +6,12 @@ strip areas from quadrature must match the analytic action drop.
 """
 
 import math
+import warnings
 
 import pytest
 
 from morseflow import critpoint, floer, flow, geometry, novikov, pipeline
-from morseflow.errors import NotAComplexError, QuadratureFailureError
+from morseflow.errors import DomainError, NotAComplexError, QuadratureFailureError
 from morseflow.funcexpr import ScalarField
 from morseflow.novikov import NovikovElement
 
@@ -146,3 +147,43 @@ def test_epsilon_must_scale_exponents(torus_run):
 def test_arnold_bound_from_morse_ranks(torus_run):
     _, _, run = torus_run
     assert floer.arnold_bound(run.ranks) == 4
+
+
+def test_strip_area_constant_partials_broadcast():
+    # every partial of x3 is a float constant; the poles differ by f = 2
+    f = ScalarField.from_text("x3", 3)
+    m = geometry.sphere(2)
+    pts = critpoint.find_critical_points(f, m)
+    top = next(p for p in pts if p.index == 2)
+    traj = flow.integrate(f, m, (0.01, 0.0, 1.0), points=pts, source_label=top.id)
+    w = floer.strip_area_check(f, m, traj, epsilon=0.05, points=pts)
+    assert w.analytic == pytest.approx(0.1, abs=1e-15)
+    assert abs(w.quadrature - 0.1) <= 1e-12
+
+
+def test_strip_gradient_fault_at_hermite_node_is_domain_error():
+    # f is defined for x1 >= 0.1 only; the samples are inside, but the cubic
+    # through them dips to x1 ~ 0.02 at the quarter node of the middle segment
+    f = ScalarField.from_text("x1 + sqrt(x1 - 0.1)", 1)
+    m = geometry.parse_manifold("circle")
+    pts = [critpoint.CriticalPoint(location=(x,), index=i, eigenvalues=(), residual=0.0,
+                                   nondegenerate=True, id=i)
+           for i, x in enumerate((0.105, 0.3))]
+    traj = flow.Trajectory(times=[0.0, 2.0], points=[(0.2,), (0.11,)], f_values=[0.0, 0.0],
+                           source_label=1, sink_label=0, energy=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            floer.strip_area_check(f, m, traj, epsilon=0.05, points=pts)
+
+
+def test_strip_area_coarse_trajectory_fails_quadrature(torus_run):
+    f, m, run = torus_run
+    top = next(p for p in run.points if p.index == 2)
+    bottom = next(p for p in run.points if p.index == 0)
+    traj = flow.Trajectory(times=[0.0, 0.1, 0.2],
+                           points=[(0.05, 0.05), (0.25, 0.25), (0.45, 0.45)],
+                           f_values=[0.0, 0.0, 0.0], source_label=top.id,
+                           sink_label=bottom.id, energy=0.0)
+    with pytest.raises(QuadratureFailureError):
+        floer.strip_area_check(f, m, traj, epsilon=0.05, points=run.points)

@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morseflow import critpoint, flow, geometry, pipeline
 from morseflow.errors import DomainError, IndexGapError, NoConvergenceError, SourceIndexError
@@ -221,3 +222,39 @@ def test_classify_division_by_zero_is_domain_error():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
             flow.classify(f, m, starts, pts)
+
+
+def _points(locations):
+    return [critpoint.CriticalPoint(location=tuple(loc), index=0, eigenvalues=(),
+                                    residual=0.0, nondegenerate=True, id=i)
+            for i, loc in enumerate(locations)]
+
+
+# balls across the torus seam, overlapping balls (list order decides), and
+# projective points whose two lifts share a first coordinate near 0
+_LOOKUP_CASES = [
+    (geometry.torus(2), _points([(0.0, 0.3), (0.99995, 0.7), (0.5, 0.5), (0.50012, 0.50005),
+                                 (0.99993, 0.30002), (0.25, 0.99999), (0.99999, 0.9),
+                                 (1e-5, 0.1)])),
+    (geometry.projective(2), _points([(0.0, 0.6, 0.8), (3e-5, 0.8, -0.6), (0.6, 0.8, 0.0),
+                                      (0.60008, 0.79994, 0.0), (1.0, 0.0, 0.0)])),
+]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=st.sampled_from(_LOOKUP_CASES), data=st.data())
+def test_capture_lookup_matches_every_target_in_turn(case, data):
+    m, pts = case
+    targets = flow._capture_targets(m, pts)
+    _, reps = targets[data.draw(st.integers(0, len(targets) - 1))]
+    c = np.asarray(reps[data.draw(st.integers(0, len(reps) - 1))])
+    scale = data.draw(st.sampled_from([flow.CAPTURE_RADIUS, 2 * flow.CAPTURE_RADIUS, 0.3]))
+    y = c + np.array(data.draw(st.lists(st.floats(-scale, scale), min_size=len(c),
+                                        max_size=len(c))))
+    if m.kind == "torus":
+        y = y + np.array(data.draw(st.lists(st.integers(-3, 3), min_size=len(c),
+                                            max_size=len(c))))
+    y = tuple(float(v) for v in y)
+    expected = next((cid for cid, rs in targets
+                     if flow._target_distance(m, y, rs) < flow.CAPTURE_RADIUS), None)
+    assert flow._capture_lookup(m, pts)(y) == expected
