@@ -1,18 +1,21 @@
 """Command line entry point.
 
 Subcommands: critpoints, flow, connections, homology, floer, maslov,
-arnold.  Flag values override --config file values (flat key=value
-lines, # comments), which override built-in defaults.  Reports embed
-the fully resolved configuration and are byte-identical for identical
-config.  Exit codes: 0 success, 1 domain errors, 2 usage errors.
+arnold.  `build_parser` declares every option once, with its type,
+default and choices.  A --config file (flat key=value lines, # comments,
+keys named like the subcommand's options) is read into --key=value
+tokens placed before the command line's own flags, so flags override
+file values and argparse checks both.  Reports embed the fully resolved
+configuration and are byte-identical for identical config.  Exit codes:
+0 success, 1 domain errors, 2 usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 
 from . import floer as floer_mod
 from . import flow as flow_mod
@@ -22,109 +25,62 @@ from .errors import MorseflowError, NoConvergenceError, UsageError
 from .funcexpr import ScalarField
 from .pipeline import run_morse, validate_field
 
-_DEFAULTS = {
-    "manifold": None, "function": None, "grid": None, "scan": 64,
-    "epsilon": 0.05, "tmax": 200.0, "out": None, "start": None,
-    "loop": None, "base": None,
-}
-_INT_KEYS = {"grid", "scan"}
-_FLOAT_KEYS = {"epsilon", "tmax"}
 
-
-@dataclass
-class RunConfig:
-    cmd: str
-    manifold: str | None
-    function: str | None
-    grid: int | None
-    scan: int
-    epsilon: float
-    tmax: float
-    out: str
-    start: str | None
-    loop: str | None
-    base: str | None
-
-    def as_dict(self) -> dict:
-        d = {
-            "cmd": self.cmd, "manifold": self.manifold, "function": self.function,
-            "grid": self.grid, "scan": self.scan, "epsilon": self.epsilon,
-            "tmax": self.tmax, "out": self.out,
-        }
-        if self.start is not None:
-            d["from"] = self.start
-        if self.loop is not None:
-            d["loop"] = self.loop
-        if self.base is not None:
-            d["base"] = self.base
-        return d
-
-
-def _read_config_file(path: str) -> dict:
-    values = {}
+def _config_tokens(ns: argparse.Namespace) -> list[str]:
+    """The lines of ns.config as --key=value tokens for ns.cmd's parser."""
+    keys = {"from" if dest == "start" else dest for dest in vars(ns)} - {"cmd", "config"}
+    path, tokens = ns.config, []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
-                if "=" not in line:
+                key, eq, val = (s.strip() for s in line.partition("="))
+                if not eq:
                     raise UsageError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-                key, val = (s.strip() for s in line.split("=", 1))
-                if key == "from":
-                    key = "start"
-                if key not in _DEFAULTS:
-                    raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-                values[key] = val
+                if key not in keys:
+                    raise UsageError(f"{path}:{lineno}: unknown config key {key!r} for {ns.cmd}")
+                tokens.append(f"--{key}={val}")
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}")
-    return values
+    return tokens
 
 
-def _coerce(key: str, val):
-    if val is None or not isinstance(val, str):
-        return val
-    try:
-        if key in _INT_KEYS:
-            return int(val)
-        if key in _FLOAT_KEYS:
-            return float(val)
-    except ValueError:
-        raise UsageError(f"config value for {key} must be numeric, got {val!r}")
-    return val
-
-
-def _resolve(args: argparse.Namespace) -> RunConfig:
-    file_vals = _read_config_file(args.config) if args.config else {}
-    merged = {}
-    for key, default in _DEFAULTS.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-        elif key in file_vals:
-            merged[key] = _coerce(key, file_vals[key])
-        else:
-            merged[key] = default
-    if merged["out"] is None:
-        merged["out"] = "csv" if args.cmd == "flow" else "json"
-    if merged["out"] not in ("json", "csv"):
-        raise UsageError(f"--out must be json or csv, got {merged['out']!r}")
+def _parse_args(argv) -> argparse.Namespace:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    ns = parser.parse_args(argv)
+    if ns.config is not None:
+        at = argv.index(ns.cmd) + 1
+        ns = parser.parse_args(argv[:at] + _config_tokens(ns) + argv[at:])
     for key in ("grid", "scan"):
-        if merged[key] is not None and merged[key] < 2:
+        val = getattr(ns, key)
+        if val is not None and val < 2:
             raise UsageError(f"--{key} must be at least 2")
     for key in ("epsilon", "tmax"):
-        if merged[key] is not None and merged[key] <= 0:
-            raise UsageError(f"--{key} must be positive")
-    return RunConfig(cmd=args.cmd, **merged)
+        val = getattr(ns, key)
+        if not (math.isfinite(val) and val > 0):
+            raise UsageError(f"--{key} must be finite and positive, got {val!r}")
+    return ns
 
 
-def _field_on(cfg: RunConfig, manifold_name: str | None):
+def _report_config(ns: argparse.Namespace) -> dict:
+    d = {key: getattr(ns, key) for key in
+         ("cmd", "manifold", "function", "grid", "scan", "epsilon", "tmax", "out")}
+    for key, dest in (("from", "start"), ("loop", "loop"), ("base", "base")):
+        if getattr(ns, dest, None) is not None:
+            d[key] = getattr(ns, dest)
+    return d
+
+
+def _field_on(ns: argparse.Namespace, manifold_name: str | None):
     if manifold_name is None:
         raise UsageError("--manifold is required")
-    if cfg.function is None:
+    if ns.function is None:
         raise UsageError("--function is required")
     m = geometry.parse_manifold(manifold_name)
-    field = ScalarField.from_text(cfg.function, m.ambient_dim)
+    field = ScalarField.from_text(ns.function, m.ambient_dim)
     validate_field(field, m)
     return field, m
 
@@ -144,11 +100,11 @@ def _point_record(p) -> dict:
     }
 
 
-def _cmd_critpoints(cfg: RunConfig) -> str:
-    field, m = _field_on(cfg, cfg.manifold)
-    pts = find_critical_points(field, m, cfg.grid)
-    if cfg.out == "csv":
-        lines = [f"# config: {json.dumps(cfg.as_dict(), sort_keys=True)}"]
+def _cmd_critpoints(ns: argparse.Namespace) -> str:
+    field, m = _field_on(ns, ns.manifold)
+    pts = find_critical_points(field, m, ns.grid)
+    if ns.out == "csv":
+        lines = [f"# config: {json.dumps(_report_config(ns), sort_keys=True)}"]
         d = m.ambient_dim
         lines.append(",".join([f"x{k + 1}" for k in range(d)]
                               + ["index", "residual", "eigenvalues"]))
@@ -157,32 +113,32 @@ def _cmd_critpoints(cfg: RunConfig) -> str:
                                   + [str(p.index), repr(p.residual),
                                      ";".join(repr(e) for e in p.eigenvalues)]))
         return "\n".join(lines) + "\n"
-    records = [json.dumps({"config": cfg.as_dict()}, sort_keys=True)]
+    records = [json.dumps({"config": _report_config(ns)}, sort_keys=True)]
     for p in pts:
         records.append(json.dumps(_point_record(p), sort_keys=True))
     return "\n".join(records) + "\n"
 
 
-def _cmd_flow(cfg: RunConfig) -> str:
-    field, m = _field_on(cfg, cfg.manifold)
-    if cfg.start is None:
+def _cmd_flow(ns: argparse.Namespace) -> str:
+    field, m = _field_on(ns, ns.manifold)
+    if ns.start is None:
         raise UsageError("flow requires --from x1,...,xd")
     try:
-        start = tuple(float(tok) for tok in cfg.start.split(","))
+        start = tuple(float(tok) for tok in ns.start.split(","))
     except ValueError:
-        raise UsageError(f"--from expects comma-separated reals, got {cfg.start!r}")
+        raise UsageError(f"--from expects comma-separated reals, got {ns.start!r}")
     if len(start) != m.ambient_dim:
         raise UsageError(f"--from needs {m.ambient_dim} coordinates for {m.name}")
-    pts = find_critical_points(field, m, cfg.grid)
+    pts = find_critical_points(field, m, ns.grid)
     try:
-        traj = flow_mod.integrate(field, m, start, t_max=cfg.tmax, points=pts)
+        traj = flow_mod.integrate(field, m, start, t_max=ns.tmax, points=pts)
         status = "captured"
     except NoConvergenceError as exc:
         traj = exc.trajectory
         status = "unresolved"
-    if cfg.out == "json":
+    if ns.out == "json":
         return _json_report({
-            "config": cfg.as_dict(),
+            "config": _report_config(ns),
             "status": status,
             "source": traj.source_label,
             "sink": traj.sink_label,
@@ -190,7 +146,7 @@ def _cmd_flow(cfg: RunConfig) -> str:
             "samples": [[t, list(p), f] for t, p, f in
                         zip(traj.times, traj.points, traj.f_values)],
         })
-    lines = [f"# config: {json.dumps(cfg.as_dict(), sort_keys=True)}",
+    lines = [f"# config: {json.dumps(_report_config(ns), sort_keys=True)}",
              f"# status: {status} sink: {traj.sink_label}",
              ",".join(["t"] + [f"x{k + 1}" for k in range(len(traj.points[0]))] + ["f"])]
     for t, p, f in zip(traj.times, traj.points, traj.f_values):
@@ -206,21 +162,21 @@ def _count_record(c) -> dict:
     }
 
 
-def _cmd_connections(cfg: RunConfig) -> str:
-    field, m = _field_on(cfg, cfg.manifold)
-    pts = find_critical_points(field, m, cfg.grid)
-    counts = flow_mod.connection_counts(field, m, pts, scan_resolution=cfg.scan,
-                                        t_max=cfg.tmax)
+def _cmd_connections(ns: argparse.Namespace) -> str:
+    field, m = _field_on(ns, ns.manifold)
+    pts = find_critical_points(field, m, ns.grid)
+    counts = flow_mod.connection_counts(field, m, pts, scan_resolution=ns.scan,
+                                        t_max=ns.tmax)
     return _json_report({
-        "config": cfg.as_dict(),
+        "config": _report_config(ns),
         "points": [_point_record(p) for p in pts],
         "counts": [_count_record(c) for c in counts],
     })
 
 
-def _homology_payload(cfg: RunConfig, run) -> dict:
+def _homology_payload(ns: argparse.Namespace, run) -> dict:
     return {
-        "config": cfg.as_dict(),
+        "config": _report_config(ns),
         "points": [_point_record(p) for p in run.points],
         "generators": {str(k): v for k, v in run.complex.generators.items()},
         "boundary_matrices": {str(k): mat.bitstrings()
@@ -238,43 +194,43 @@ def _homology_payload(cfg: RunConfig, run) -> dict:
     }
 
 
-def _cmd_homology(cfg: RunConfig) -> str:
-    field, m = _field_on(cfg, cfg.manifold)
-    run = run_morse(field, m, grid=cfg.grid, scan=cfg.scan, t_max=cfg.tmax)
-    return _json_report(_homology_payload(cfg, run))
+def _cmd_homology(ns: argparse.Namespace) -> str:
+    field, m = _field_on(ns, ns.manifold)
+    run = run_morse(field, m, grid=ns.grid, scan=ns.scan, t_max=ns.tmax)
+    return _json_report(_homology_payload(ns, run))
 
 
-def _cmd_arnold(cfg: RunConfig) -> str:
-    field, m = _field_on(cfg, cfg.manifold)
-    run = run_morse(field, m, grid=cfg.grid, scan=cfg.scan, t_max=cfg.tmax)
+def _cmd_arnold(ns: argparse.Namespace) -> str:
+    field, m = _field_on(ns, ns.manifold)
+    run = run_morse(field, m, grid=ns.grid, scan=ns.scan, t_max=ns.tmax)
     return _json_report({
-        "config": cfg.as_dict(),
+        "config": _report_config(ns),
         "ranks": list(run.ranks.by_degree),
         "arnold_bound": floer_mod.arnold_bound(run.ranks),
     })
 
 
-def _cmd_floer(cfg: RunConfig) -> str:
-    base = cfg.base or cfg.manifold
+def _cmd_floer(ns: argparse.Namespace) -> str:
+    base = ns.base or ns.manifold
     if base is None:
         raise UsageError("floer requires --base (torus2 or circle)")
-    field, m = _field_on(cfg, base)
-    run = run_morse(field, m, grid=cfg.grid, scan=cfg.scan, t_max=cfg.tmax)
-    fc = floer_mod.build_floer_complex(field, m, run.counts, epsilon=cfg.epsilon,
+    field, m = _field_on(ns, base)
+    run = run_morse(field, m, grid=ns.grid, scan=ns.scan, t_max=ns.tmax)
+    fc = floer_mod.build_floer_complex(field, m, run.counts, epsilon=ns.epsilon,
                                        points=run.points)
     hf = floer_mod.hf_ranks(fc)
     t1_ok = fc.mod2_matrices() == run.complex.matrices
     strip_checks = []
     for c in run.counts:
         for traj in c.representatives:
-            w = floer_mod.strip_area_check(field, m, traj, epsilon=cfg.epsilon,
+            w = floer_mod.strip_area_check(field, m, traj, epsilon=ns.epsilon,
                                            points=run.points)
             strip_checks.append({
                 "source": w.source, "sink": w.sink, "analytic": w.analytic,
                 "quadrature": w.quadrature, "agrees": w.agrees,
             })
     return _json_report({
-        "config": cfg.as_dict(),
+        "config": _report_config(ns),
         "generators": {str(k): v for k, v in fc.generators.items()},
         "f_values": {str(k): v for k, v in sorted(fc.f_values.items())},
         "differential": {str(k): [[novikov.format_novikov(e) for e in row]
@@ -288,16 +244,16 @@ def _cmd_floer(cfg: RunConfig) -> str:
     })
 
 
-def _cmd_maslov(cfg: RunConfig) -> str:
-    if cfg.loop is None:
+def _cmd_maslov(ns: argparse.Namespace) -> str:
+    if ns.loop is None:
         raise UsageError("maslov requires --loop FILE.csv")
     try:
-        loop = maslov.LagrangianLoop.from_csv(cfg.loop)
+        loop = maslov.LagrangianLoop.from_csv(ns.loop)
     except OSError as exc:
-        raise UsageError(f"cannot read loop file {cfg.loop}: {exc}")
+        raise UsageError(f"cannot read loop file {ns.loop}: {exc}")
     idx = maslov.maslov_index(loop)
     return _json_report({
-        "config": cfg.as_dict(),
+        "config": _report_config(ns),
         "n": loop.n,
         "samples": len(loop.frames),
         "index": idx,
@@ -326,10 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--manifold", help=geometry.MANIFOLD_NAMES)
         p.add_argument("--function", help="scalar field expression in x1..xn")
         p.add_argument("--grid", type=int, help="seed grid resolution")
-        p.add_argument("--scan", type=int, help="seed sphere scan resolution")
-        p.add_argument("--epsilon", type=float, help="Hamiltonian pushoff size")
-        p.add_argument("--tmax", type=float, help="integration time limit")
-        p.add_argument("--out", choices=("json", "csv"), help="output format")
+        p.add_argument("--scan", type=int, default=64, help="seed sphere scan resolution")
+        p.add_argument("--epsilon", type=float, default=0.05, help="Hamiltonian pushoff size")
+        p.add_argument("--tmax", type=float, default=200.0, help="integration time limit")
+        p.add_argument("--out", choices=("json", "csv") if name in ("critpoints", "flow")
+                       else ("json",), default="csv" if name == "flow" else "json",
+                       help="output format")
         p.add_argument("--config", help="key=value config file; flags override")
         if name == "flow":
             p.add_argument("--from", dest="start", help="start point x1,...,xd")
@@ -342,12 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
+        ns = _parse_args(argv)
+        report = _DISPATCH[ns.cmd](ns)
+    except SystemExit as exc:  # argparse printed --help or a usage error
         return 0 if exc.code in (0, None) else 2
-    try:
-        cfg = _resolve(args)
-        report = _DISPATCH[args.cmd](cfg)
     except UsageError as exc:
         print(f"morseflow: usage error: {exc}", file=sys.stderr)
         return 2

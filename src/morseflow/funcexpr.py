@@ -4,7 +4,8 @@ Variables are x1..xn, `pi` is a keyword constant, and the operators
 + - * / ^ follow the precedence ^ > unary minus > * / > + -, all
 left-associative.  Exponents of ^ must be integer literals so that
 differentiation stays inside the language.  sin, cos, exp, log and
-sqrt are the only functions.
+sqrt are the only functions.  Digits and identifiers are ASCII, and a
+literal that overflows a float is a syntax error.
 
 Differentiation is symbolic on the AST (no dual numbers); evaluation
 is either tree-walking (`eval_expr`) or compiled to a plain Python
@@ -97,6 +98,11 @@ _OP = "op"
 _END = "end"
 
 
+def _digits(s: str) -> bool:
+    """True for a non-empty run of ASCII digits (str.isdigit also takes '²')."""
+    return s.isascii() and s.isdigit()
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     toks = []
     i, n = 0, len(text)
@@ -105,28 +111,30 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+        if _digits(c) or (c == "." and i + 1 < n and _digits(text[i + 1])):
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and _digits(text[j]):
                 j += 1
             if j < n and text[j] == ".":
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and _digits(text[j]):
                     j += 1
             if j < n and text[j] in "eE":
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and text[k].isdigit():
+                if k < n and _digits(text[k]):
                     j = k
-                    while j < n and text[j].isdigit():
+                    while j < n and _digits(text[j]):
                         j += 1
+            if not math.isfinite(float(text[i:j])):
+                raise ExprSyntaxError(f"number {text[i:j]} overflows", i)
             toks.append((_NUM, text[i:j], i))
             i = j
             continue
-        if c.isalpha() or c == "_":
+        if c.isascii() and (c.isalpha() or c == "_"):
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j].isascii() and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             toks.append((_IDENT, text[i:j], i))
             i = j
@@ -222,7 +230,7 @@ class _Parser:
         if x != int(x):
             raise ExprSyntaxError(f"exponent {val} is not an integer", at, expected="integer literal")
         self.next()
-        return sign * int(x)
+        return sign * (int(val) if _digits(val) else int(x))
 
     def atom(self) -> Expr:
         kind, val, at = self.next()
@@ -236,7 +244,7 @@ class _Parser:
                 arg = self.expr()
                 self.expect_op(")")
                 return Call(val, arg)
-            if val.startswith("x") and val[1:].isdigit():
+            if val.startswith("x") and _digits(val[1:]):
                 idx = int(val[1:])
                 if idx == 0:
                     raise UnknownIdentifierError(val, at)

@@ -2,7 +2,9 @@
 precedence.  Everything drives main(argv) in-process."""
 
 import json
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,3 +262,128 @@ def test_maslov_open_loop_is_domain_error(capsys, tmp_path):
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     code, _, _ = run_cli(capsys, ["maslov", "--loop", str(path)])
     assert code == 1
+
+
+CIRCLE_ARGS = ["--manifold", "circle", "--function", "cos(2*pi*x1)"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology"] + CIRCLE_ARGS + ["--tmax", "nan"],   # integrated forever before
+    ["floer", "--base", "circle", "--function", "cos(2*pi*x1)", "--epsilon", "inf"],
+    ["floer"] + CIRCLE_ARGS + ["--epsilon", "1e400"],
+    ["arnold"] + CIRCLE_ARGS + ["--tmax=-inf"],
+])
+def test_non_finite_floats_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("morseflow: usage error: --")
+    assert "must be finite and positive" in err
+
+
+def test_non_finite_config_value_is_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("tmax = nan\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, ["homology"] + CIRCLE_ARGS + ["--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err.startswith("morseflow: usage error: --tmax must be finite and positive")
+
+
+@pytest.mark.parametrize("function,offset", [
+    ("cos(2*pi*x1)+x1^²", 16),
+    ("cos(2*pi*x1)*²", 13),
+    ("cos(2*pi*x١)", 10),
+])
+def test_non_ascii_expression_is_usage_error(capsys, function, offset):
+    code, out, err = run_cli(capsys, ["critpoints", "--manifold", "circle",
+                                      "--function", function])
+    assert (code, out) == (2, "")
+    assert err.startswith("morseflow: usage error:")
+    assert f"at offset {offset}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd", ["connections", "homology", "arnold", "floer", "maslov"])
+def test_csv_refused_by_json_only_subcommands(capsys, tmp_path, cmd):
+    code, out, err = run_cli(capsys, [cmd] + CIRCLE_ARGS + ["--out", "csv"])
+    assert (code, out) == (2, "")
+    assert f"morseflow {cmd}: error: argument --out" in err
+    cfg = tmp_path / "csv.cfg"
+    cfg.write_text("out = csv\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, [cmd] + CIRCLE_ARGS + ["--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert f"morseflow {cmd}: error: argument --out" in err
+
+
+def test_config_keys_are_the_subcommands_own_options(capsys, tmp_path):
+    cfg = tmp_path / "foreign.cfg"
+    cfg.write_text("# homology takes no loop file\nscan = 32\nloop = loop.csv\n",
+                   encoding="utf-8")
+    code, out, err = run_cli(capsys, ["homology"] + CIRCLE_ARGS + ["--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert f"{cfg}:3: unknown config key 'loop' for homology" in err
+    # the dest of --from is not a key; the option name is
+    cfg.write_text("start = 1,0,0\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, ["flow", "--manifold", "sphere2", "--function", "x3",
+                                    "--config", str(cfg)])
+    assert code == 2
+    assert "unknown config key 'start' for flow" in err
+    cfg.write_text("from = 1,0,0\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["flow", "--manifold", "sphere2", "--function", "x3",
+                                    "--config", str(cfg), "--out", "json"])
+    assert code == 0
+    assert json.loads(out)["config"]["from"] == "1,0,0"
+
+
+def test_config_values_are_checked_like_flags(capsys, tmp_path):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("grid = many\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, ["critpoints"] + CIRCLE_ARGS + ["--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert "argument --grid: invalid int value: 'many'" in err
+    cfg.write_text("grid = 1\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, ["critpoints"] + CIRCLE_ARGS + ["--config", str(cfg)])
+    assert code == 2
+    assert "--grid must be at least 2" in err
+
+
+def _half_turn_loop(path):
+    rows = []
+    for t in np.linspace(0.0, 1.0, 65):
+        frame = (np.cos(np.pi * t), np.sin(np.pi * t))
+        rows.append(",".join(repr(float(v)) for v in (t, *frame)))
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return str(path)
+
+
+REPORT_KEYS = {"cmd", "manifold", "function", "grid", "scan", "epsilon", "tmax", "out"}
+
+
+@pytest.mark.parametrize("argv,extra", [
+    (["critpoints"] + CIRCLE_ARGS, set()),
+    (["flow"] + CIRCLE_ARGS + ["--from", "0.3"], {"from"}),
+    (["connections"] + CIRCLE_ARGS, set()),
+    (["homology"] + CIRCLE_ARGS, set()),
+    (["arnold"] + CIRCLE_ARGS, set()),
+    (["floer"] + CIRCLE_ARGS, set()),
+    (["floer", "--base", "circle", "--function", "cos(2*pi*x1)"], {"base"}),
+    (["maslov", "--loop", "LOOP"], {"loop"}),
+])
+def test_report_config_key_set(capsys, tmp_path, argv, extra):
+    argv = [_half_turn_loop(tmp_path / "loop.csv") if a == "LOOP" else a for a in argv]
+    code, out, _ = run_cli(capsys, argv + ["--out", "json"])
+    assert code == 0
+    first = out.split("\n", 1)[0] if argv[0] == "critpoints" else out
+    assert set(json.loads(first)["config"]) == REPORT_KEYS | extra
+
+
+def test_readme_common_flags_match_parser(capsys):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"Every subcommand takes(.*?)\.\s", text, re.DOTALL).group(1)
+    listed = set(re.findall(r"`(--[a-z]+)", sentence))
+    common = None
+    for cmd in cli._DISPATCH:
+        assert cli.main([cmd, "--help"]) == 0
+        options = set(re.findall(r"^  (--[a-z]+)", capsys.readouterr().out, re.MULTILINE))
+        common = options if common is None else common & options
+    assert listed == common

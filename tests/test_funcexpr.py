@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morseflow import funcexpr
 from morseflow.errors import (
@@ -13,6 +14,7 @@ from morseflow.errors import (
     DomainError,
     ExprSyntaxError,
     UnknownIdentifierError,
+    UsageError,
 )
 
 # expressions chosen to cover every node type and nesting pattern
@@ -128,6 +130,63 @@ def test_exponent_must_be_integer_literal():
     with pytest.raises(ExprSyntaxError):
         funcexpr.parse("x1^1.5", 1)
     assert funcexpr.eval_expr(funcexpr.parse("x1^-2", 1), (2.0,)) == 0.25
+
+
+@pytest.mark.parametrize("text,offset", [
+    ("x1^\u00b2", 3),                   # superscript two: str.isdigit is True
+    ("cos(2*pi*x1)*\u00b2", 13),
+    ("cos(2*pi*x\u0661)", 10),          # Arabic-Indic one is not x1
+    ("\u0661 + x1", 0),
+    ("caf\u00e9", 3),                   # identifiers are ASCII too
+])
+def test_non_ascii_digits_and_letters_rejected(text, offset):
+    with pytest.raises(ExprSyntaxError) as ei:
+        funcexpr.parse(text, 1)
+    assert ei.value.position == offset
+
+
+def test_overflowing_literals_rejected():
+    with pytest.raises(ExprSyntaxError) as ei:
+        funcexpr.parse("1e400*x1", 1)
+    assert ei.value.position == 0
+    with pytest.raises(ExprSyntaxError):
+        funcexpr.parse("x1^1e400", 1)
+    # integer exponents are read exactly, not through a float
+    e = funcexpr.parse("x1^12345678901234567891", 1)
+    assert e.exponent == 12345678901234567891
+
+
+def _asts(dim):
+    leaves = st.one_of(
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(funcexpr.Num),
+        st.just(funcexpr.Pi()),
+        st.integers(1, dim).map(funcexpr.Var))
+
+    def branch(sub):
+        return st.one_of(
+            sub.map(funcexpr.Neg),
+            st.builds(funcexpr.Add, sub, sub), st.builds(funcexpr.Sub, sub, sub),
+            st.builds(funcexpr.Mul, sub, sub), st.builds(funcexpr.Div, sub, sub),
+            st.builds(funcexpr.Pow, sub, st.integers()),
+            st.builds(funcexpr.Call, st.sampled_from(funcexpr.FUNCTIONS), sub))
+    return st.recursive(leaves, branch, max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_asts(3))
+def test_to_string_parse_roundtrip_property(e):
+    assert funcexpr.parse(funcexpr.to_string(e), 3) == e
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(alphabet="x0123456789.eE+-*/^() pisncoqrtlg_\u00b2\u0661\u00e9\t",
+               max_size=24))
+def test_parse_random_text_returns_ast_or_usage_error(text):
+    try:
+        e = funcexpr.parse(text, 3)
+    except UsageError:
+        return
+    assert funcexpr.parse(funcexpr.to_string(e), 3) == e
 
 
 def test_unknown_identifiers():
