@@ -54,10 +54,8 @@ def _parse_args(argv) -> argparse.Namespace:
     if ns.config is not None:
         at = argv.index(ns.cmd) + 1
         ns = parser.parse_args(argv[:at] + _config_tokens(ns) + argv[at:])
-    for key in ("grid", "scan"):
-        val = getattr(ns, key)
-        if val is not None and val < 2:
-            raise UsageError(f"--{key} must be at least 2")
+    if ns.grid is not None and ns.grid < 2:
+        raise UsageError("--grid must be at least 2")
     for key in ("epsilon", "tmax"):
         val = getattr(ns, key)
         if not (math.isfinite(val) and val > 0):
@@ -67,7 +65,7 @@ def _parse_args(argv) -> argparse.Namespace:
 
 def _report_config(ns: argparse.Namespace) -> dict:
     d = {key: getattr(ns, key) for key in
-         ("cmd", "manifold", "function", "grid", "scan", "epsilon", "tmax", "out")}
+         ("cmd", "manifold", "function", "grid", "epsilon", "tmax", "out")}
     for key, dest in (("from", "start"), ("loop", "loop"), ("base", "base")):
         if getattr(ns, dest, None) is not None:
             d[key] = getattr(ns, dest)
@@ -165,8 +163,7 @@ def _count_record(c) -> dict:
 def _cmd_connections(ns: argparse.Namespace) -> str:
     field, m = _field_on(ns, ns.manifold)
     pts = find_critical_points(field, m, ns.grid)
-    counts = flow_mod.connection_counts(field, m, pts, scan_resolution=ns.scan,
-                                        t_max=ns.tmax)
+    counts = flow_mod.connection_counts(field, m, pts, t_max=ns.tmax)
     return _json_report({
         "config": _report_config(ns),
         "points": [_point_record(p) for p in pts],
@@ -196,13 +193,13 @@ def _homology_payload(ns: argparse.Namespace, run) -> dict:
 
 def _cmd_homology(ns: argparse.Namespace) -> str:
     field, m = _field_on(ns, ns.manifold)
-    run = run_morse(field, m, grid=ns.grid, scan=ns.scan, t_max=ns.tmax)
+    run = run_morse(field, m, grid=ns.grid, t_max=ns.tmax)
     return _json_report(_homology_payload(ns, run))
 
 
 def _cmd_arnold(ns: argparse.Namespace) -> str:
     field, m = _field_on(ns, ns.manifold)
-    run = run_morse(field, m, grid=ns.grid, scan=ns.scan, t_max=ns.tmax)
+    run = run_morse(field, m, grid=ns.grid, t_max=ns.tmax)
     return _json_report({
         "config": _report_config(ns),
         "ranks": list(run.ranks.by_degree),
@@ -215,7 +212,7 @@ def _cmd_floer(ns: argparse.Namespace) -> str:
     if base is None:
         raise UsageError("floer requires --base (torus2 or circle)")
     field, m = _field_on(ns, base)
-    run = run_morse(field, m, grid=ns.grid, scan=ns.scan, t_max=ns.tmax)
+    run = run_morse(field, m, grid=ns.grid, t_max=ns.tmax)
     fc = floer_mod.build_floer_complex(field, m, run.counts, epsilon=ns.epsilon,
                                        points=run.points)
     hf = floer_mod.hf_ranks(fc)
@@ -282,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--manifold", help=geometry.MANIFOLD_NAMES)
         p.add_argument("--function", help="scalar field expression in x1..xn")
         p.add_argument("--grid", type=int, help="seed grid resolution")
-        p.add_argument("--scan", type=int, default=64, help="seed sphere scan resolution")
         p.add_argument("--epsilon", type=float, default=0.05, help="Hamiltonian pushoff size")
         p.add_argument("--tmax", type=float, default=200.0, help="integration time limit")
         p.add_argument("--out", choices=("json", "csv") if name in ("critpoints", "flow")

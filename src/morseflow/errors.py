@@ -90,11 +90,13 @@ class IndexGapError(MorseflowError):
 
 
 class SourceIndexError(MorseflowError):
-    """Seed-sphere scans exist only for source index 1 or 2."""
+    """A pair has no index-1 end under f or -f (index k, 2 <= k <= n-1).
+
+    Counts come only from the two seeds of an index-1 point."""
 
 
 class ResolutionWarning(UserWarning):
-    """Two basin boundaries landed closer than 4/scan_resolution."""
+    """A seed trajectory reached t_max uncaptured; its source's counts are flagged."""
 
 
 # --- chain complexes -------------------------------------------------------

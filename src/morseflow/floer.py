@@ -26,6 +26,7 @@ the Morse boundary matrix bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,11 +103,17 @@ def build_floer_complex(field: ScalarField, m: geometry.ManifoldModel,
                         counts: list[ConnectionCount], epsilon: float = EPSILON_DEFAULT,
                         cmax: float = novikov.CMAX_DEFAULT,
                         points: list[CriticalPoint] | None = None) -> FloerComplex:
-    """Assemble the Floer differential from mod-2 counts and action drops."""
+    """Assemble the Floer differential from mod-2 counts and action drops.
+
+    Raises DomainError when epsilon * (max f - min f) over the critical
+    points is not finite: some action drop would overflow."""
     if points is None:
         points = find_critical_points(field, m)
     cx = build_complex(points, counts)  # validates coverage and grading
     fvals = {p.id: _field_value_at(field, m, p) for p in points}
+    spread = epsilon * (max(fvals.values()) - min(fvals.values()))
+    if not math.isfinite(spread):
+        raise DomainError(f"action drops overflow: epsilon * (max f - min f) = {spread}")
     mod2 = {(c.source, c.sink): c.count_mod2 % 2 for c in counts}
 
     matrices = {}
@@ -205,7 +212,8 @@ def strip_area_check(field: ScalarField, m: geometry.ManifoldModel,
     half nodes gives the fine and coarse areas.  Returns an ActionWeight
     with both numbers; raises QuadratureFailureError when the Richardson
     estimate from the two cannot certify the tolerance, and DomainError
-    when the gradient fails at a node.
+    when the gradient fails at a node or the action drop or area is not
+    finite.
     """
     if traj.source_label is None or traj.sink_label is None:
         raise QuadratureFailureError("trajectory endpoints are unresolved")
@@ -215,6 +223,8 @@ def strip_area_check(field: ScalarField, m: geometry.ManifoldModel,
     snk = points[traj.sink_label]
     analytic = float(epsilon * (_field_value_at(field, m, src)
                                 - _field_value_at(field, m, snk)))
+    if not math.isfinite(analytic):
+        raise DomainError(f"action drop epsilon * (f(p) - f(q)) = {analytic} is not finite")
 
     if len(traj.points) == 1:  # constant trajectory: empty strip
         return ActionWeight(source=src.id, sink=snk.id, analytic=analytic,
@@ -242,12 +252,14 @@ def strip_area_check(field: ScalarField, m: geometry.ManifoldModel,
         raise DomainError(f"gradient evaluation failed: {exc}") from exc
     coarse = np.sum((v0 + 4.0 * v2 + v4) / 6.0)
     fine = np.sum((v0 + 4.0 * v1 + 2.0 * v2 + 4.0 * v3 + v4) / 12.0)
-    area_coarse = -epsilon * coarse
-    area_fine = -epsilon * fine
+    area_coarse = -epsilon * float(coarse)
+    area_fine = -epsilon * float(fine)
+    if not math.isfinite(area_fine):
+        raise DomainError(f"strip area {area_fine} is not finite")
     est_err = abs(area_fine - area_coarse) / 15.0
     tol = AREA_RTOL * (1.0 + abs(analytic))
     if est_err > 0.5 * tol:
         raise QuadratureFailureError(
             f"strip quadrature error estimate {est_err:.3e} exceeds budget {0.5 * tol:.3e}")
     return ActionWeight(source=src.id, sink=snk.id, analytic=analytic,
-                        quadrature=float(area_fine), epsilon=epsilon)
+                        quadrature=area_fine, epsilon=epsilon)

@@ -13,25 +13,15 @@ A trajectory acquires its sink label when it enters the capture ball
 accepted steps; the dwell requirement prevents false capture during a
 slow pass near a saddle.
 
-Counting M(f; p, q) for index difference one:
-
-* index(p) = 1: the unstable sphere is two antipodal seeds and each seed
-  trajectory is itself a candidate connecting orbit, so the raw count is
-  the number of seeds sinking at q.
-* index(p) = 2: seeds sweep a circle of directions in the negative
-  eigenspace.  Connections to q appear as boundaries between basin arcs.
-  Because distinct arcs can share a sink (the four arcs around the torus
-  maximum all drain to the same minimum, reached through different
-  covering translates), arcs are distinguished by sink id plus a deck
-  label: the integer winding offset of the unwrapped endpoint on the
-  torus, the sign of the covering lift on RP^n.  Boundaries are refined
-  to parameter tolerance 1e-10 (in turns) by rounds of 64-section that
-  replay bisection on batched probes, and attributed to the
-  index-(lambda-1) point the limiting trajectory passes closest to.
-
-The index-2 scan and refinement need only each seed's deck label, so
-`classify` flows their seeds in one vectorised pass; trajectories that
-are kept (index-1 seeds, representatives) come from scalar `integrate`.
+Counting M(f; p, q) for index difference one: the unstable sphere of an
+index-1 point is two antipodal seeds, and each seed trajectory is itself
+a candidate connecting orbit, so from an index-1 source the raw count is
+the number of seeds sinking at q.  M(f; p, q) is M(-f; q, p) run
+backwards, and under -f a point of index k has index n - k (Milnor,
+Lectures on the h-cobordism theorem, 1965), so a pair of index (n, n-1)
+is counted from q under -f and its representatives are reversed.  On
+n <= 2 every pair has such an index-1 end; a pair of index (k, k-1) with
+2 <= k <= n-1 has none and is refused.
 """
 
 from __future__ import annotations
@@ -39,8 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field as dataclass_field
-from itertools import islice
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
@@ -54,7 +43,7 @@ from .errors import (
     SourceIndexError,
     StepCollapseError,
 )
-from .funcexpr import EVAL_ERRORS, ScalarField
+from .funcexpr import EVAL_ERRORS, Neg, ScalarField
 
 RTOL = 1e-9
 ATOL = 1e-12
@@ -62,9 +51,6 @@ CAPTURE_RADIUS = 1e-4
 CAPTURE_DWELL = 10
 SEED_EPS = 1e-3
 T_MAX_DEFAULT = 200.0
-PARAM_TOL = 1e-10        # boundary bracket width on the seed parameter, in turns
-K_SECTION = 64           # sub-brackets per refinement round
-SADDLE_ASSIGN_RADIUS = 1e-2
 H_MAX = 1.0
 
 
@@ -307,345 +293,130 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
     raise NoConvergenceError(f"no capture within t_max={t_max}", trajectory=traj)
 
 
-# --- batched classification ------------------------------------------------------
+# --- seeds of an index-1 point --------------------------------------------------
 
-def _first_hit(m: geometry.ManifoldModel, Y, centres, ids):
-    """Id of the first point whose capture ball holds each column of Y, else -1."""
-    s = 0.0
-    for yi, ci in zip(Y, centres):
-        d = np.abs(yi - ci[:, None])
-        if m.kind == "torus":
-            d = d - np.floor(d)
-            d = np.minimum(d, 1.0 - d)
-        s = s + d * d
-    inside = np.sqrt(s) < CAPTURE_RADIUS
-    return np.where(inside.any(axis=0), ids[inside.argmax(axis=0)], -1)
-
-
-def classify(field: ScalarField, m: geometry.ManifoldModel, starts,
-             points: list[CriticalPoint], t_max: float = T_MAX_DEFAULT):
-    """Sink id (None once t_max elapses) and endpoint of every row of `starts`.
-
-    Rows are working coordinates (unwrapped torus chart, unit-sphere lift)
-    and flow together in one numpy Dormand-Prince pass, each with its own
-    step size, accept/reject decision, capture dwell and t_max, as
-    `integrate` would flow it alone.  Raises StepCollapseError like
-    `integrate`, and DomainError when the gradient fails on any row.
-    """
-    f = array_rhs(field, m)
-    targets = _capture_targets(m, points)
-    centres = np.array([c for _, reps in targets for c in reps]).T
-    ids = np.array([cid for cid, reps in targets for _ in reps])
-    y = np.array(starts, dtype=float).T
-    ends, sinks, live = y.T.copy(), [None] * y.shape[1], np.arange(y.shape[1])
-    t, h = np.zeros(len(live)), np.full(len(live), 1e-3)
-    dwell_id = _first_hit(m, y, centres, ids)
-    dwell = np.where(dwell_id < 0, 0, CAPTURE_DWELL)  # a start in a ball stays put
-    try:
-        with np.errstate(divide="raise", invalid="raise", over="raise"):
-            k1 = f(y)
-            while True:
-                captured = dwell >= CAPTURE_DWELL
-                done = captured | (t >= t_max)
-                if done.any():
-                    for j in np.flatnonzero(done):
-                        sinks[live[j]] = int(dwell_id[j]) if captured[j] else None
-                        ends[live[j]] = y[:, j]
-                    keep = ~done
-                    live, y, t, h, k1 = live[keep], y[:, keep], t[keep], h[keep], k1[:, keep]
-                    dwell_id, dwell = dwell_id[keep], dwell[keep]
-                if not len(live):
-                    return sinks, ends
-                h = np.minimum(np.minimum(h, H_MAX), t_max - t)
-                collapsed = h < 1e-14 * np.maximum(1.0, np.abs(t))
-                if collapsed.any():
-                    raise StepCollapseError(f"step size underflow at t={t[collapsed][0]}")
-                ks = [k1]
-                for s in range(1, 7):
-                    yy = y.copy()
-                    for aj, kj in zip(_A[s], ks):
-                        if aj != 0.0:
-                            yy += (h * aj) * kj
-                    ks.append(f(yy))
-                e = sum(ej * kj for ej, kj in zip(_E, ks) if ej != 0.0) * h
-                r = e / (ATOL + RTOL * np.maximum(np.abs(y), np.abs(yy)))
-                err = np.sqrt(sum(ri * ri for ri in r) / len(r))
-
-                ok = err <= 1.0
-                t = np.where(ok, t + h, t)
-                if m.kind == "torus":
-                    y, k1 = np.where(ok, yy, y), np.where(ok, ks[6], k1)
-                else:
-                    y = np.where(ok, yy / np.sqrt(sum(yi * yi for yi in yy)), y)
-                    k1 = f(y)
-                hit = _first_hit(m, y, centres, ids)
-                dwell = np.where(ok, np.where(hit == dwell_id, dwell + 1, 1) * (hit >= 0), dwell)
-                dwell_id = np.where(ok, hit, dwell_id)
-                fac = np.where(err > 1e-30, 0.9 * np.maximum(err, 1e-30) ** -0.2, 5.0)
-                h = h * np.minimum(5.0, np.maximum(0.2, fac))
-    except EVAL_ERRORS as exc:
-        raise DomainError(f"gradient evaluation failed: {exc}") from exc
-
-
-# --- seed spheres ---------------------------------------------------------------
-
-def _unstable_basis(field: ScalarField, m: geometry.ManifoldModel,
-                    p: CriticalPoint) -> np.ndarray:
-    """Columns: eigenvectors of the negative Hessian eigenvalues, ascending."""
-    if p.index == 0:
-        raise SourceIndexError(f"point {p.id} has index 0: no unstable directions")
-    if p.index > 2:
+def _unstable_direction(field: ScalarField, m: geometry.ManifoldModel,
+                        p: CriticalPoint) -> np.ndarray:
+    """Eigenvector of the one negative Hessian eigenvalue of p, sign fixed."""
+    if p.index != 1:
+        raise SourceIndexError(f"point {p.id} has index {p.index}: seed scans need index 1")
+    w, V = np.linalg.eigh(hessian_in_frame(field, m, p.location))
+    if np.count_nonzero(w < 0.0) != 1:
         raise SourceIndexError(
-            f"seed scans support source index 1 or 2, got {p.index}")
-    H = hessian_in_frame(field, m, p.location)
-    w, V = np.linalg.eigh(H)
-    cols = []
-    for i in range(len(w)):
-        if w[i] < 0.0:
-            v = V[:, i].copy()
-            for x in v:  # deterministic sign fix
-                if abs(x) > 1e-8:
-                    if x < 0:
-                        v = -v
-                    break
-            cols.append(v)
-    if len(cols) != p.index:
-        raise SourceIndexError(
-            f"negative eigenspace dimension {len(cols)} != index {p.index}")
-    return np.column_stack(cols)
+            f"negative eigenspace dimension {np.count_nonzero(w < 0.0)} != index 1")
+    v = V[:, 0].copy()  # eigh sorts ascending
+    for x in v:  # deterministic sign fix
+        if abs(x) > 1e-8:
+            return -v if x < 0 else v
+    return v
 
 
-def _seed_states(m: geometry.ManifoldModel, p: CriticalPoint, basis: np.ndarray,
-                 params) -> np.ndarray:
-    """Working coordinates SEED_EPS from p towards each parameter, one row each."""
-    dirs = np.array([_direction(basis, p.index, prm) for prm in params])
+def _seed_states(m: geometry.ManifoldModel, p: CriticalPoint, v: np.ndarray) -> np.ndarray:
+    """Working coordinates SEED_EPS from p towards v and towards -v, one row each."""
+    dirs = np.array([v, -v])
     if m.kind == "torus":
         return np.asarray(p.location) + SEED_EPS * dirs
     u = geometry.unit_lift(m, p.location)
-    v = u + SEED_EPS * (dirs @ geometry.tangent_frame(m, u).T)
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    w = u + SEED_EPS * (dirs @ geometry.tangent_frame(m, u).T)
+    return w / np.linalg.norm(w, axis=1, keepdims=True)
 
 
-def _direction(basis: np.ndarray, index: int, param: float) -> np.ndarray:
-    if index == 1:
-        return basis[:, 0] if param < 0.25 else -basis[:, 0]
-    a = 2.0 * math.pi * param
-    return math.cos(a) * basis[:, 0] + math.sin(a) * basis[:, 1]
+def _scan(field, m, p, points, t_max):
+    """The two seed trajectories of index-1 p's unstable sphere.
+
+    A seed that t_max stops before capture keeps its partial trajectory,
+    sink None."""
+    trajs = []
+    for start in _seed_states(m, p, _unstable_direction(field, m, p)):
+        try:
+            trajs.append(integrate(field, m, start, t_max=t_max, points=points,
+                                   source_label=p.id))
+        except NoConvergenceError as exc:
+            trajs.append(exc.trajectory)
+    return trajs
 
 
-def _deck_key(m: geometry.ManifoldModel, sid, end, points: list[CriticalPoint]):
-    """Sink id refined by the covering translate the endpoint `end` lies in."""
-    if sid is None:
-        return (None,)
-    if m.kind == "torus":
-        c = points[sid].location
-        return (sid, tuple(int(round(e - ci)) for e, ci in zip(end, c)))
-    if m.kind == "sphere":
-        return (sid,)
-    u = geometry.unit_lift(m, points[sid].location)
-    return (sid, 1 if sum(e * ui for e, ui in zip(end, u)) >= 0 else -1)
-
-
-def _flow_seed(field, m, p, basis, param, points, t_max):
-    start = _seed_states(m, p, basis, [param])[0]
-    try:
-        traj = integrate(field, m, start, t_max=t_max, points=points,
-                         source_label=p.id)
-    except NoConvergenceError as exc:
-        traj = exc.trajectory
-    return traj
-
-
-def _keys(field, m, p, basis, params, points, t_max):
-    """Deck key of the seed at each parameter, classified in one batch."""
-    sinks, ends = classify(field, m, _seed_states(m, p, basis, params), points, t_max)
-    return [_deck_key(m, sid, end, points) for sid, end in zip(sinks, ends)]
-
-
-def _scan(field, m, p, basis, resolution, points, t_max):
-    """(parameter, key, trajectory) for each seed of p's unstable sphere.
-
-    Index-1 seeds are integrated and kept, keyed by sink id; the index-2
-    circle is only classified, keyed by deck key, trajectory None."""
-    if p.index == 1:
-        trajs = [_flow_seed(field, m, p, basis, prm, points, t_max) for prm in (0.0, 0.5)]
-        return [(prm, (traj.sink_label,), traj) for prm, traj in zip((0.0, 0.5), trajs)]
-    params = [k / resolution for k in range(resolution)]
-    keys = _keys(field, m, p, basis, params, points, t_max)
-    return [(prm, key, None) for prm, key in zip(params, keys)]
-
-
-# --- boundary refinement -----------------------------------------------------------
-
-def _refine(field, m, p, basis, points, t_max, brackets):
-    """Boundary triples (parameter, left key, right key) inside the brackets.
-
-    A bracket is (a, key at a, b, key at b) with differing keys.  Each round
-    classifies the K_SECTION - 1 inner cut points of every bracket in one
-    batch, then bisects each bracket on these samples, probing what
-    sequential bisection would probe, down to width PARAM_TOL (a boundary)
-    or to adjacent cut points (a bracket for the next round).
-    """
+def _source_counts(field, m, p, sinks, points, t_max):
+    """ConnectionCount from index-1 p to each of `sinks`: p's seeds sinking there."""
+    trajs = _scan(field, m, p, points, t_max)
+    flagged = False
+    for traj in trajs:
+        if traj.sink_label is None:
+            flagged = True
+            warnings.warn(f"seed trajectory from index-1 point {p.id} unresolved",
+                          ResolutionWarning)
     out = []
-    while brackets:
-        # the last round needs only the cuts bisection reaches before PARAM_TOL
-        sections = [min(K_SECTION, 2 ** math.ceil(math.log2((b - a) / PARAM_TOL)))
-                    for a, _, b, _ in brackets]
-        params = [a + (b - a) * j / k
-                  for (a, _, b, _), k in zip(brackets, sections) for j in range(1, k)]
-        samples = zip(params, _keys(field, m, p, basis, params, points, t_max))
-        narrowed = []
-        for (a, ka, b, kb), k in zip(brackets, sections):
-            ps, ks = zip((a, ka), *islice(samples, k - 1), (b, kb))
-            halves = [(0, k)]
-            while halves:
-                i, j = halves.pop()
-                if ks[i] == ks[j]:
-                    continue
-                if ps[j] - ps[i] <= PARAM_TOL:
-                    out.append((0.5 * (ps[i] + ps[j]), ks[i], ks[j]))
-                elif j - i == 1:
-                    narrowed.append((ps[i], ks[i], ps[j], ks[j]))
-                else:
-                    halves += [(i, (i + j) // 2), ((i + j) // 2, j)]
-        brackets = narrowed
+    for q in sinks:
+        reps = [traj for traj in trajs if traj.sink_label == q.id]
+        out.append(ConnectionCount(source=p.id, sink=q.id, count_mod2=len(reps) % 2,
+                                   raw_count=len(reps), representatives=reps,
+                                   flagged=flagged))
     return out
 
 
-def _nearest_saddle(m, traj, candidates):
-    """Index-(lambda-1) point the trajectory passes closest to, or None."""
-    best_id, best_d = None, math.inf
-    targets = _capture_targets(m, candidates)
-    for cid, reps in targets:
-        d = min(_target_distance(m, y, reps) for y in traj.points)
-        if d < best_d:
-            best_id, best_d = cid, d
-    if best_d < SADDLE_ASSIGN_RADIUS:
-        return best_id
-    return None
+# --- counting from the index-1 end -------------------------------------------------
+
+def _reversed(traj: Trajectory) -> Trajectory:
+    """A -f trajectory as the f trajectory it runs backwards."""
+    end = traj.times[-1]
+    return Trajectory(times=[end - t for t in reversed(traj.times)],
+                      points=traj.points[::-1],
+                      f_values=[-v for v in reversed(traj.f_values)],
+                      source_label=traj.sink_label, sink_label=traj.source_label,
+                      energy=traj.energy)
 
 
-def _source_analysis(field, m, p, scan_resolution, points, t_max):
-    """raw counts, representatives and warnings for every sink one index below p."""
-    raw: dict[int, int] = {}
-    reps: dict[int, list] = {}
-    flagged = False
-    basis = _unstable_basis(field, m, p)
-    entries = _scan(field, m, p, basis, scan_resolution, points, t_max)
-    if p.index == 1:
-        for _, _, traj in entries:
-            sid = traj.sink_label
-            if sid is None:
-                flagged = True
-                warnings.warn("unresolved seed trajectory from an index-1 source",
-                              ResolutionWarning)
-                continue
-            raw[sid] = raw.get(sid, 0) + 1
-            reps.setdefault(sid, []).append(traj)
-        return raw, reps, flagged
+def _count_pairs(field, m, pairs, points, t_max):
+    """ConnectionCount of each (p, q) in `pairs`, counted from an index-1 end.
 
-    brackets = []
-    for k in range(len(entries)):
-        pa, ka, _ = entries[k]
-        pb, kb, _ = entries[(k + 1) % len(entries)]
-        if ka == kb:
-            continue
-        if (k + 1) % len(entries) == 0:
-            pb += 1.0
-        brackets.append((pa, ka, pb, kb))
-    bounds = _refine(field, m, p, basis, points, t_max, brackets)
-    bounds.sort(key=lambda t: t[0] % 1.0)
-    nb = len(bounds)
-    if nb == 0:
-        return raw, reps, flagged
-
-    def is_saddle_key(key):
-        return key[0] is not None and points[key[0]].index == p.index - 1
-
-    # The boundaries cut the seed circle into arcs.  An arc whose trajecto-
-    # ries are captured by an index-(lambda-1) point is the numerical trace
-    # of a single connecting orbit (the separatrix plus the capture ball
-    # around the lower point); it is counted once, never per edge.
-    features = []  # (position, target id or None, reflow parameter)
-    saddle_edge = [False] * nb
-    for i in range(nb):
-        a = bounds[i][0] % 1.0
-        b = bounds[(i + 1) % nb][0] % 1.0
-        if nb == 1 or b <= a:
-            b += 1.0
-        key = bounds[i][2]
-        if nb > 1 and key != bounds[(i + 1) % nb][1]:
-            flagged = True
-            warnings.warn("inconsistent basin keys across an arc; counts may "
-                          "be unreliable, rescan finer", ResolutionWarning)
-        if is_saddle_key(key):
-            mid = (0.5 * (a + b)) % 1.0
-            features.append((mid, key[0], mid))
-            saddle_edge[i] = saddle_edge[(i + 1) % nb] = True
-    for i in range(nb):
-        if not saddle_edge[i]:
-            prm = bounds[i][0] % 1.0
-            features.append((prm, None, prm))
-    features.sort()
-
-    for i in range(len(features)):
-        gap = ((features[(i + 1) % len(features)][0] - features[i][0]) % 1.0
-               if len(features) > 1 else 1.0)
-        if gap < 4.0 / scan_resolution:
-            flagged = True
-            warnings.warn(
-                f"boundary points {gap:.2e} apart at scan resolution {scan_resolution}; "
-                "rescan finer", ResolutionWarning)
-
-    candidates = [cp for cp in points if cp.index == p.index - 1]
-    for _, target, prm in features:
-        traj = _flow_seed(field, m, p, basis, prm, points, t_max)
-        if target is None:
-            sid = traj.sink_label
-            if sid is not None and points[sid].index == p.index - 1:
-                target = sid
-            else:
-                target = _nearest_saddle(m, traj, candidates)
-        if target is None:
-            flagged = True
-            warnings.warn(f"boundary at parameter {prm} could not be attributed",
-                          ResolutionWarning)
-            continue
-        raw[target] = raw.get(target, 0) + 1
-        reps.setdefault(target, []).append(traj)
-    return raw, reps, flagged
-
-
-def _source_counts(field, m, p, sinks, scan_resolution, points, t_max):
-    """ConnectionCount from p to each of `sinks`, all one index below p."""
-    raw, reps, flagged = _source_analysis(field, m, p, scan_resolution, points, t_max)
-    return [ConnectionCount(source=p.id, sink=q.id, count_mod2=raw.get(q.id, 0) % 2,
-                            raw_count=raw.get(q.id, 0), representatives=reps.get(q.id, []),
-                            flagged=flagged) for q in sinks]
+    Pairs of index (1, 0) are counted from p under f, pairs of index (n, n-1)
+    from q under -f; any other pair has no index-1 end and is refused before
+    anything flows."""
+    for p, q in pairs:
+        if p.index not in (1, m.n):
+            raise SourceIndexError(
+                f"pair {p.id} -> {q.id} on {m.name} has source index {p.index} under f "
+                f"and {m.n - q.index} under -f; counting needs an index-1 source")
+    if points is None:
+        points = find_critical_points(field, m)
+    direct, dual = {}, {}  # index-1 end -> the other ends
+    for p, q in pairs:
+        if p.index == 1:
+            direct.setdefault(p.id, (p, []))[1].append(q)
+        else:
+            dual.setdefault(q.id, (q, []))[1].append(p)
+    found = {}
+    for p, sinks in direct.values():
+        for c in _source_counts(field, m, p, sinks, points, t_max):
+            found[c.source, c.sink] = c
+    if dual:
+        neg = ScalarField(Neg(field.expr), field.dim)
+        flip = {p.id: replace(p, index=m.n - p.index) for p in points}
+        for q, sources in dual.values():
+            for c in _source_counts(neg, m, flip[q.id], [flip[p.id] for p in sources],
+                                    list(flip.values()), t_max):
+                found[c.sink, c.source] = ConnectionCount(
+                    source=c.sink, sink=c.source, count_mod2=c.count_mod2,
+                    raw_count=c.raw_count, flagged=c.flagged,
+                    representatives=[_reversed(traj) for traj in c.representatives])
+    return [found[p.id, q.id] for p, q in pairs]
 
 
 def count_connecting(field: ScalarField, m: geometry.ManifoldModel,
                      p: CriticalPoint, q: CriticalPoint,
-                     scan_resolution: int = 64,
                      points: list[CriticalPoint] | None = None,
                      t_max: float = T_MAX_DEFAULT) -> ConnectionCount:
     """Mod-2 count of negative gradient trajectories from p down to q."""
     if p.index - q.index != 1:
         raise IndexGapError(
             f"index gap {p.index}-{q.index} != 1: moduli space is not rigid")
-    if points is None:
-        points = find_critical_points(field, m)
-    return _source_counts(field, m, p, [q], scan_resolution, points, t_max)[0]
+    return _count_pairs(field, m, [(p, q)], points, t_max)[0]
 
 
 def connection_counts(field: ScalarField, m: geometry.ManifoldModel,
-                      points: list[CriticalPoint], scan_resolution: int = 64,
+                      points: list[CriticalPoint],
                       t_max: float = T_MAX_DEFAULT) -> list[ConnectionCount]:
-    """Connection counts for every ordered pair with index difference one."""
-    out = []
-    for p in points:
-        sinks = [q for q in points if q.index == p.index - 1]
-        if sinks:
-            out.extend(_source_counts(field, m, p, sinks, scan_resolution,
-                                      points, t_max))
-    return out
+    """Connection counts for every ordered pair with index difference one,
+    by source, then by sink, in point order."""
+    pairs = [(p, q) for p in points for q in points if p.index - q.index == 1]
+    return _count_pairs(field, m, pairs, points, t_max)

@@ -5,7 +5,8 @@ Variables are x1..xn, `pi` is a keyword constant, and the operators
 left-associative.  Exponents of ^ must be integer literals so that
 differentiation stays inside the language.  sin, cos, exp, log and
 sqrt are the only functions.  Digits and identifiers are ASCII, and a
-literal that overflows a float is a syntax error.
+literal that overflows a float is a syntax error, as is nesting or an
+AST deeper than MAX_DEPTH levels.
 
 Differentiation is symbolic on the AST (no dual numbers); evaluation
 is either tree-walking (`eval_expr`) or compiled to a plain Python
@@ -23,6 +24,11 @@ import numpy as np
 from .errors import DimensionError, DomainError, ExprSyntaxError, UnknownIdentifierError
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
+# deepest nesting (parentheses, calls, unary minus) and deepest AST the parser
+# accepts.  The parser takes up to five frames per level and the walkers
+# recurse over derivatives deeper than the AST, so this keeps every
+# expression within Python's default limit of 1000 frames.
+MAX_DEPTH = 100
 # what a compiled evaluator raises outside the real domain; over numpy arrays
 # it raises FloatingPointError under np.errstate(divide/invalid/over="raise")
 EVAL_ERRORS = (ValueError, ZeroDivisionError, OverflowError, FloatingPointError)
@@ -155,6 +161,19 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
         self.dim = dim
+        self.level = 0       # open unary() calls: the recursion depth in levels
+        self.depths = {}     # id of each built node -> its AST depth
+
+    def deeper(self, at: int):
+        raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", at)
+
+    def node(self, e: Expr, at: int, *kids) -> Expr:
+        """e, whose children are kids, once its AST depth is known to be in bounds."""
+        depth = 1 + max(self.depths.get(id(k), 1) for k in kids)
+        if depth > MAX_DEPTH:
+            self.deeper(at)
+        self.depths[id(e)] = depth
+        return e
 
     def peek(self):
         return self.toks[self.pos]
@@ -180,39 +199,47 @@ class _Parser:
     def expr(self) -> Expr:
         e = self.term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, at = self.peek()
             if kind == _OP and val in "+-":
                 self.next()
                 rhs = self.term()
-                e = Add(e, rhs) if val == "+" else Sub(e, rhs)
+                e = self.node(Add(e, rhs) if val == "+" else Sub(e, rhs), at, e, rhs)
             else:
                 return e
 
     def term(self) -> Expr:
         e = self.unary()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, at = self.peek()
             if kind == _OP and val in "*/":
                 self.next()
                 rhs = self.unary()
-                e = Mul(e, rhs) if val == "*" else Div(e, rhs)
+                e = self.node(Mul(e, rhs) if val == "*" else Div(e, rhs), at, e, rhs)
             else:
                 return e
 
     def unary(self) -> Expr:
-        kind, val, _ = self.peek()
-        if kind == _OP and val == "-":
-            self.next()
-            return Neg(self.unary())
-        return self.power()
+        # every recursion of the parser passes through here
+        kind, val, at = self.peek()
+        if self.level == MAX_DEPTH:
+            self.deeper(at)
+        self.level += 1
+        try:
+            if kind == _OP and val == "-":
+                self.next()
+                arg = self.unary()
+                return self.node(Neg(arg), at, arg)
+            return self.power()
+        finally:
+            self.level -= 1
 
     def power(self) -> Expr:
         e = self.atom()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, at = self.peek()
             if kind == _OP and val == "^":
                 self.next()
-                e = Pow(e, self.exponent())
+                e = self.node(Pow(e, self.exponent()), at, e)
             else:
                 return e
 
@@ -243,7 +270,7 @@ class _Parser:
                 self.expect_op("(")
                 arg = self.expr()
                 self.expect_op(")")
-                return Call(val, arg)
+                return self.node(Call(val, arg), at, arg)
             if val.startswith("x") and _digits(val[1:]):
                 idx = int(val[1:])
                 if idx == 0:

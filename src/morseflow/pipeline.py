@@ -56,8 +56,7 @@ class MorseRun:
 
 
 def run_morse(field: ScalarField, m: geometry.ManifoldModel,
-              grid: int | None = None, scan: int = 64,
-              t_max: float = flow.T_MAX_DEFAULT,
+              grid: int | None = None, t_max: float = flow.T_MAX_DEFAULT,
               points: list[CriticalPoint] | None = None) -> MorseRun:
     """Critical points, connection counts, complex, ranks, inequalities.
 
@@ -74,8 +73,7 @@ def run_morse(field: ScalarField, m: geometry.ManifoldModel,
         raise DomainError(f"critical points have Euler characteristic {chi} ({m.name}: "
                           f"{m.euler}) and indices {indices} (need 0 and {m.n}): "
                           "points were missed or the function is not Morse")
-    counts = flow.connection_counts(field, m, points, scan_resolution=scan,
-                                    t_max=t_max)
+    counts = flow.connection_counts(field, m, points, t_max=t_max)
     cx = gf2chain.build_complex(points, counts)
     ranks = gf2chain.homology_ranks(cx)
     b = ranks.by_degree

@@ -75,7 +75,8 @@ def test_scale_variant_projective_field_rejected(capsys):
 
 
 def test_domain_error_exits_1(capsys):
-    # the rp3 weight field has an index-3 source; the seed scan refuses
+    # the rp3 weight field has a pair of index (2, 1) with no index-1 end
+    # under f or -f; counting refuses it
     num = "1*x2^2 + 2*x3^2 + 3*x4^2"
     den = "x1^2 + x2^2 + x3^2 + x4^2"
     code, _, err = run_cli(capsys, ["homology", "--manifold", "rp3",
@@ -123,18 +124,16 @@ def test_impossible_critical_points_refused(capsys, argv, needle):
 
 def test_disconnected_ranks_refused(capsys):
     # the 4-point grid finds 8 of the 12 critical points (chi 0, a minimum and
-    # a maximum); 12 of the 16 counts cannot be attributed and b0 = b2 = 0.
-    # --tmax 20 gives the refusal of the default t_max 200 in a tenth the time:
-    # seeds drained towards the missed points run until t_max either way
+    # a maximum); seeds drained towards the missed points reach t_max
+    # uncaptured, 8 of the 16 counts are flagged and b0 = b2 = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         code, out, err = run_cli(capsys, ["homology", "--manifold", "torus2", "--function",
-                                          "cos(2*pi*3*x1) + cos(2*pi*x2)", "--grid", "4",
-                                          "--tmax", "20"])
+                                          "cos(2*pi*3*x1) + cos(2*pi*x2)", "--grid", "4"])
     assert code == 1
     assert out == ""
     assert err.startswith("morseflow: error: ranks [0, 0, 0] have b0 = 0 and b2 = 0")
-    assert "12 of 16 counts are flagged" in err
+    assert "8 of 16 counts are flagged" in err
 
 
 def test_homology_report_shape(capsys):
@@ -205,13 +204,13 @@ def test_floer_circle(capsys):
 
 def test_config_file_and_flag_precedence(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("scan = 128\nepsilon = 0.07  # tighter pushoff\n",
+    cfg.write_text("tmax = 150\nepsilon = 0.07  # tighter pushoff\n",
                    encoding="utf-8")
     code, out, _ = run_cli(capsys, ["arnold"] + TORUS_ARGS +
                            ["--config", str(cfg), "--epsilon", "0.09"])
     assert code == 0
     d = json.loads(out)
-    assert d["config"]["scan"] == 128       # from the file
+    assert d["config"]["tmax"] == 150.0     # from the file
     assert d["config"]["epsilon"] == 0.09   # flag wins
 
 
@@ -223,13 +222,15 @@ def test_config_file_unknown_key_rejected(capsys, tmp_path):
 
 
 def test_seed_is_not_an_option(capsys, tmp_path):
-    code, _, _ = run_cli(capsys, ["arnold"] + TORUS_ARGS + ["--seed", "3"])
-    assert code == 2
-    cfg = tmp_path / "seed.cfg"
-    cfg.write_text("seed = 3\n", encoding="utf-8")
-    code, _, err = run_cli(capsys, ["arnold"] + TORUS_ARGS + ["--config", str(cfg)])
-    assert code == 2
-    assert "unknown config key 'seed'" in err
+    # neither is the seed-circle resolution --scan
+    for key, value in (("seed", "3"), ("scan", "64")):
+        code, _, _ = run_cli(capsys, ["arnold"] + TORUS_ARGS + [f"--{key}", value])
+        assert code == 2
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, ["arnold"] + TORUS_ARGS + ["--config", str(cfg)])
+        assert code == 2
+        assert f"unknown config key '{key}'" in err
 
 
 def test_maslov_loop_file(capsys, tmp_path):
@@ -281,6 +282,30 @@ def test_non_finite_floats_are_usage_errors(capsys, argv):
     assert "must be finite and positive" in err
 
 
+def test_overflowing_action_refused_without_warning(capsys):
+    # 1.7e308 is finite, but the action drop 1.7e308 * 2 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["floer", "--base", "circle", "--function",
+                                          "cos(2*pi*x1)", "--epsilon", "1.7e308"])
+    assert (code, out) == (1, "")
+    assert err.startswith("morseflow: error:")
+    assert "Warning" not in err
+
+
+@pytest.mark.parametrize("function", [
+    "(" * 300 + "x1" + ")" * 300,
+    "sin(" * 300 + "x1" + ")" * 300,
+    "+".join(["x1"] * 1501),
+])
+def test_deep_expression_is_usage_error(capsys, function):
+    code, out, err = run_cli(capsys, ["critpoints", "--manifold", "circle",
+                                      "--function", function])
+    assert (code, out) == (2, "")
+    assert err.startswith("morseflow: usage error: expression nests deeper than")
+    assert "Traceback" not in err
+
+
 def test_non_finite_config_value_is_usage_error(capsys, tmp_path):
     cfg = tmp_path / "nan.cfg"
     cfg.write_text("tmax = nan\n", encoding="utf-8")
@@ -317,7 +342,7 @@ def test_csv_refused_by_json_only_subcommands(capsys, tmp_path, cmd):
 
 def test_config_keys_are_the_subcommands_own_options(capsys, tmp_path):
     cfg = tmp_path / "foreign.cfg"
-    cfg.write_text("# homology takes no loop file\nscan = 32\nloop = loop.csv\n",
+    cfg.write_text("# homology takes no loop file\ntmax = 50\nloop = loop.csv\n",
                    encoding="utf-8")
     code, out, err = run_cli(capsys, ["homology"] + CIRCLE_ARGS + ["--config", str(cfg)])
     assert (code, out) == (2, "")
@@ -356,7 +381,7 @@ def _half_turn_loop(path):
     return str(path)
 
 
-REPORT_KEYS = {"cmd", "manifold", "function", "grid", "scan", "epsilon", "tmax", "out"}
+REPORT_KEYS = {"cmd", "manifold", "function", "grid", "epsilon", "tmax", "out"}
 
 
 @pytest.mark.parametrize("argv,extra", [

@@ -177,6 +177,15 @@ def test_strip_gradient_fault_at_hermite_node_is_domain_error():
             floer.strip_area_check(f, m, traj, epsilon=0.05, points=pts)
 
 
+def test_overflowing_action_drop_is_domain_error(circle_run):
+    f, m, run = circle_run
+    with pytest.raises(DomainError):
+        floer.build_floer_complex(f, m, run.counts, epsilon=1.7e308, points=run.points)
+    traj = run.counts[0].representatives[0]
+    with pytest.raises(DomainError):
+        floer.strip_area_check(f, m, traj, epsilon=1.7e308, points=run.points)
+
+
 def test_strip_area_coarse_trajectory_fails_quadrature(torus_run):
     f, m, run = torus_run
     top = next(p for p in run.points if p.index == 2)

@@ -3,8 +3,9 @@
 Golden values: on the double-cosine torus every index gap equals one and
 each of the four source/sink pairs is joined by exactly two flow lines;
 on the height-function sphere the poles differ by index two and counting
-must refuse.  Counts must not depend on the scan resolution or on a
-constant rescaling of the flat metric.
+must refuse.  Counts must not depend on a constant rescaling of the flat
+metric.  Pairs of index (2, 1) are counted from the saddle under -f, and
+their representatives are -f trajectories run backwards.
 """
 
 import warnings
@@ -13,8 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morseflow import critpoint, flow, geometry, pipeline
-from morseflow.errors import DomainError, IndexGapError, NoConvergenceError, SourceIndexError
+from morseflow import critpoint, floer, flow, geometry, pipeline
+from morseflow.errors import IndexGapError, ResolutionWarning, SourceIndexError
 from morseflow.funcexpr import ScalarField
 
 
@@ -70,7 +71,7 @@ def test_integrate_sphere_equator_to_south(sphere):
 
 
 def scan(f, m, p, pts):
-    return flow._scan(f, m, p, flow._unstable_basis(f, m, p), 64, pts, flow.T_MAX_DEFAULT)
+    return flow._scan(f, m, p, pts, flow.T_MAX_DEFAULT)
 
 
 def test_basin_scan_index1_two_seeds(torus):
@@ -78,21 +79,8 @@ def test_basin_scan_index1_two_seeds(torus):
     saddle = next(p for p in pts if p.index == 1)
     minimum = next(p for p in pts if p.index == 0)
     out = scan(f, m, saddle, pts)
-    assert [prm for prm, _, _ in out] == [0.0, 0.5]
-    assert all(key[0] == minimum.id for _, key, _ in out)
-
-
-def test_basin_scan_index2_all_reach_minimum(torus):
-    f, m, pts = torus
-    mx = next(p for p in pts if p.index == 2)
-    minimum = next(p for p in pts if p.index == 0)
-    out = scan(f, m, mx, pts)
-    assert len(out) == 64
-    # almost every seed drains to the minimum; a seed landing exactly on a
-    # separatrix is captured by the saddle it runs into
-    saddle_ids = {p.id for p in pts if p.index == 1}
-    for _, key, _ in out:
-        assert key[0] == minimum.id or key[0] in saddle_ids
+    assert len(out) == 2
+    assert all(traj.sink_label == minimum.id for traj in out)
 
 
 def test_basin_scan_rejects_index0(torus):
@@ -152,15 +140,6 @@ def test_index_gap_two_refused(sphere):
         flow.count_connecting(f, m, north, south, points=pts)
 
 
-@pytest.mark.parametrize("res", [64, 128, 256, 512])
-def test_counts_stable_across_scan_resolution(torus, res):
-    f, m, pts = torus
-    counts = flow.connection_counts(f, m, pts, scan_resolution=res)
-    table = {(c.source, c.sink): (c.raw_count, c.count_mod2) for c in counts}
-    assert set(table.values()) == {(2, 0)}
-    assert len(table) == 4
-
-
 def test_counts_deterministic(torus):
     f, m, pts = torus
     a = flow.connection_counts(f, m, pts)
@@ -191,37 +170,62 @@ def test_rp2_counts(torus):
     assert table == {(1, 0): 2, (2, 1): 2}
 
 
+def _counts_by_location(text):
+    f = ScalarField.from_text(text, 2)
+    m = geometry.torus(2)
+    pts = critpoint.find_critical_points(f, m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResolutionWarning)
+        counts = flow.connection_counts(f, m, pts)
+    return {(pts[c.source].location, pts[c.sink].location): c for c in counts}
+
+
+def test_double_frequency_torus_counts():
+    # each maximum reaches the saddle half a period away along x2 twice (once
+    # each way round), the saddles a quarter period away along x1 once each,
+    # and the fourth saddle not at all
+    table = _counts_by_location("cos(2*pi*2*x1) + cos(2*pi*x2)")
+    assert len(table) == 16
+    assert not any(c.flagged for c in table.values())
+    for mx, above, far in (((0.0, 0.0), (0.0, 0.5), (0.5, 0.5)),
+                           ((0.5, 0.0), (0.5, 0.5), (0.0, 0.5))):
+        raw = {q: table[mx, q].raw_count for q in (above, (0.25, 0.0), (0.75, 0.0), far)}
+        assert raw == {above: 2, (0.25, 0.0): 1, (0.75, 0.0): 1, far: 0}
+
+
+def test_skewed_torus_counts_not_flagged():
+    table = _counts_by_location("cos(2*pi*x1) + 0.5*cos(2*pi*x2) + 0.2*cos(2*pi*(x1+x2))")
+    assert len(table) == 4
+    assert all(c.raw_count == 2 and not c.flagged for c in table.values())
+
+
 @pytest.mark.parametrize("text,dim,m", [
     ("cos(2*pi*x1) + cos(2*pi*x2) + 0.061803*cos(2*pi*(x1 + x2))", 2, geometry.torus(2)),
     ("(1*x2^2 + 2*x3^2) / (x1^2 + x2^2 + x3^2)", 3, geometry.projective(2)),
 ])
-def test_classify_matches_integrate(text, dim, m):
-    # the batch steps every row as integrate steps it alone
+def test_reversed_representatives_run_from_p_to_q(text, dim, m):
     f = ScalarField.from_text(text, dim)
     pts = critpoint.find_critical_points(f, m)
-    p = next(q for q in pts if q.index == 2)
-    basis = flow._unstable_basis(f, m, p)
-    starts = flow._seed_states(m, p, basis, [k / 64 for k in range(64)])
-    sinks, ends = flow.classify(f, m, starts, pts)
-    for start, sid, end in zip(starts, sinks, ends):
-        try:
-            traj = flow.integrate(f, m, start, points=pts)
-        except NoConvergenceError as exc:
-            traj = exc.trajectory
-        assert flow._deck_key(m, sid, end, pts) == \
-            flow._deck_key(m, traj.sink_label, traj.points[-1], pts)
-        assert np.max(np.abs(end - np.asarray(traj.points[-1]))) <= 1e-12
+    top = [c for c in flow.connection_counts(f, m, pts) if pts[c.source].index == m.n]
+    assert top and all(c.raw_count == 2 for c in top)
+    for c in top:
+        for traj in c.representatives:
+            assert (traj.source_label, traj.sink_label) == (c.source, c.sink)
+            assert traj.times[0] == 0.0 and np.all(np.diff(traj.times) > 0)
+            assert np.all(np.diff(traj.f_values) <= 1e-9)
+            assert floer.strip_area_check(f, m, traj, points=pts).agrees
 
 
-def test_classify_division_by_zero_is_domain_error():
-    f = ScalarField.from_text("x3 + 0.1*sqrt(x1^2)", 3)
-    m = geometry.sphere(2)
+def test_middle_pair_refused_before_any_flow(monkeypatch):
+    f = ScalarField.from_text("cos(2*pi*x1) + cos(2*pi*x2) + cos(2*pi*x3)", 3)
+    m = geometry.parse_manifold("torusN:3")
     pts = critpoint.find_critical_points(f, m)
-    starts = np.array([[0.6, 0.0, 0.8], [0.0, 0.6, 0.8]])  # second row on x1 = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DomainError):
-            flow.classify(f, m, starts, pts)
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("integrate called before the refusal")
+    monkeypatch.setattr(flow, "integrate", no_flow)
+    with pytest.raises(SourceIndexError):
+        flow.connection_counts(f, m, pts)
 
 
 def _points(locations):

@@ -156,6 +156,29 @@ def test_overflowing_literals_rejected():
     assert e.exponent == 12345678901234567891
 
 
+@pytest.mark.parametrize("text", [
+    "(" * 300 + "x1" + ")" * 300,
+    "sin(" * 300 + "x1" + ")" * 300,
+    "+".join(["x1"] * 1501),            # a flat sum is a left-deep AST
+])
+def test_deep_expressions_rejected(text):
+    with pytest.raises(ExprSyntaxError, match=f"deeper than {funcexpr.MAX_DEPTH} levels"):
+        funcexpr.parse(text, 1)
+
+
+def test_expression_just_under_depth_limit_evaluates():
+    k = funcexpr.MAX_DEPTH - 1
+    f = funcexpr.ScalarField.from_text("sin(" * k + "x1" + ")" * k, 1)
+    x = 0.3
+    for _ in range(k):
+        x = math.sin(x)
+    assert f.value([0.3]) == pytest.approx(x, rel=1e-12)
+    assert f.gradient([0.3])[0] == pytest.approx(fd_gradient(f.value, [0.3])[0], rel=1e-6)
+    assert math.isfinite(f.hessian([0.3])[0][0])
+    total = funcexpr.ScalarField.from_text("+".join(["x1"] * funcexpr.MAX_DEPTH), 1)
+    assert total.gradient([0.5]) == (float(funcexpr.MAX_DEPTH),)
+
+
 def _asts(dim):
     leaves = st.one_of(
         st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(funcexpr.Num),
