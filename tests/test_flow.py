@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morseflow import critpoint, floer, flow, geometry, pipeline
-from morseflow.errors import IndexGapError, ResolutionWarning, SourceIndexError
+from morseflow.errors import DomainError, IndexGapError, ResolutionWarning, SourceIndexError
 from morseflow.funcexpr import ScalarField
 
 
@@ -81,6 +81,24 @@ def test_basin_scan_index1_two_seeds(torus):
     out = scan(f, m, saddle, pts)
     assert len(out) == 2
     assert all(traj.sink_label == minimum.id for traj in out)
+
+
+def test_basin_scan_index2_all_reach_minimum(torus):
+    # a 64-seed circle around the maximum, flowed one seed at a time
+    f, m, pts = torus
+    mx = next(p for p in pts if p.index == 2)
+    minimum = next(p for p in pts if p.index == 0)
+    sinks = []
+    for k in range(32):
+        v = np.array([np.cos(np.pi * k / 32), np.sin(np.pi * k / 32)])
+        for start in flow._seed_states(m, mx, v):
+            sinks.append(flow.integrate(f, m, start, points=pts).sink_label)
+    assert len(sinks) == 64
+    # almost every seed drains to the minimum; a seed landing exactly on a
+    # separatrix is captured by the saddle it runs into
+    saddle_ids = {p.id for p in pts if p.index == 1}
+    assert sinks.count(minimum.id) >= 60
+    assert set(sinks) <= {minimum.id} | saddle_ids
 
 
 def test_basin_scan_rejects_index0(torus):
@@ -226,6 +244,18 @@ def test_middle_pair_refused_before_any_flow(monkeypatch):
     monkeypatch.setattr(flow, "integrate", no_flow)
     with pytest.raises(SourceIndexError):
         flow.connection_counts(f, m, pts)
+
+
+def test_classify_division_by_zero_is_domain_error():
+    # integrate classifies a start by its sink; a gradient that divides by
+    # zero on the way is a DomainError, not a warning or a NaN sink
+    f = ScalarField.from_text("x3 + 0.1*sqrt(x1^2)", 3)
+    m = geometry.sphere(2)
+    pts = critpoint.find_critical_points(f, m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            flow.integrate(f, m, (0.0, 0.6, 0.8), points=pts)  # on x1 = 0
 
 
 def _points(locations):
