@@ -2,18 +2,22 @@
 
 Newton's method on the gradient, damped by a backtracking line search on
 |grad f|^2, is run from a deterministic seed grid; converged points are
-deduplicated and classified by the spectrum of the Hessian.
+deduplicated and classified by the spectrum of the Hessian.  The sweep
+is batched: every live seed takes its Newton step in one stacked solve
+over numpy evaluations, then runs its own Armijo line search.
 
 On the sphere (and on the RP^n double cover) the relevant operator is the
 intrinsic Hessian of the restriction: in an orthonormal tangent frame P at
 a unit point p it is  P^T (Hess F - (grad F . p) I) P,  the ambient Hessian
 plus the shape-operator correction of the unit-sphere constraint.  For a
 scale-invariant projective field grad F . p = 0, so the correction term
-vanishes identically there.
+vanishes identically there.  The sweep takes the same tangent step from
+the bordered system [[Hess F - (grad F . p) I, p], [p^T, 0]], frame-free.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,6 +30,7 @@ RESIDUAL_TOL = 1e-10     # a point counts as critical only below this
 DEDUPE_RADIUS = 1e-6
 DEGENERACY_REL = 1e-8    # |eigenvalue| below this times the spectral radius
 MAX_NEWTON_ITERS = 100
+DEDUPE_BLOCK = 256       # rows whose distances to the found points are taken at once
 
 
 @dataclass(frozen=True)
@@ -36,10 +41,6 @@ class CriticalPoint:
     residual: float          # gradient norm (tangent-projected off the torus)
     nondegenerate: bool
     id: int = -1             # position in the sorted list, set by the sweep
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.location)
 
 
 def _ambient_state(m: geometry.ManifoldModel, point) -> np.ndarray:
@@ -90,67 +91,119 @@ def classify(field: ScalarField, m: geometry.ManifoldModel, point) -> CriticalPo
     )
 
 
-def _newton_from_seed(field, m, seed):
-    """Damped Newton iteration; returns a converged location or None."""
-    x = _ambient_state(m, seed)
-    on_sphere = m.kind != "torus"
+def _evaluate(fn, X: np.ndarray, width: int) -> np.ndarray:
+    """The outputs of a compiled array evaluator at the rows of X, as columns."""
+    out = np.empty((len(X), width))
+    for i, v in enumerate(fn(*X.T)):
+        out[:, i] = v          # a constant output broadcasts
+    return out
 
-    def grad_sq(y):
-        g = np.asarray(field.gradient(y))
-        if on_sphere:
-            g = g - np.dot(g, y) * y
-        return g, float(np.dot(g, g))
 
-    g, gsq = grad_sq(x)
-    for _ in range(MAX_NEWTON_ITERS):
-        if gsq <= 1e-24:
-            break
-        if on_sphere:
-            P = geometry.tangent_frame(m, x)
-            H = np.asarray(field.hessian(x), dtype=float)
-            Ht = P.T @ (H - np.dot(np.asarray(field.gradient(x)), x) * np.eye(len(x))) @ P
-            gt = P.T @ g
-            try:
-                dt = np.linalg.solve(Ht, -gt)
-            except np.linalg.LinAlgError:
-                dt = -gt
-            step = P @ dt
-        else:
-            H = np.asarray(field.hessian(x), dtype=float)
-            try:
-                step = np.linalg.solve(H, -g)
-            except np.linalg.LinAlgError:
-                step = -g
+def _gradients(field: ScalarField, m: geometry.ManifoldModel, X: np.ndarray):
+    """Ambient gradients at the rows of X, and the sweep's: projected off the torus."""
+    G = _evaluate(field.array_gradient, X, X.shape[1])
+    if m.kind == "torus":
+        return G, G
+    return G, G - np.sum(G * X, axis=1, keepdims=True) * X
 
-        # backtracking on |grad f|^2; fall back to steepest descent once
-        improved = False
-        for direction in (step, -g):
-            t = 1.0
-            for _ in range(40):
-                cand = x + t * direction
-                if on_sphere:
-                    r = np.linalg.norm(cand)
-                    if r < 1e-12:
-                        t *= 0.5
-                        continue
-                    cand = cand / r
-                try:
-                    gc, gcsq = grad_sq(cand)
-                except DomainError:
-                    t *= 0.5
-                    continue
-                if gcsq < gsq * (1.0 - 1e-4 * t) or gcsq <= 1e-24:
-                    x, g, gsq = cand, gc, gcsq
-                    improved = True
-                    break
-                t *= 0.5
-            if improved:
+
+def _solve_rows(A: np.ndarray, b: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    """x[i] with A[i] x[i] = b[i] for every row; a singular A[i] gives fallback[i]."""
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = fallback.copy()
+        for i in range(len(b)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[i] = np.linalg.solve(A[i], b[i])
+        return out
+
+
+def _newton_steps(field: ScalarField, m: geometry.ManifoldModel, X, G, g) -> np.ndarray:
+    """The Newton step at every row, bordered off the torus; -g where singular."""
+    k, d = X.shape
+    H = _evaluate(field.array_hessian, X, d * d).reshape(k, d, d)
+    bad = ~np.isfinite(H).all(axis=(1, 2))
+    if bad.any():
+        at = tuple(X[np.argmax(bad)].tolist())
+        raise DomainError(f"hessian evaluation failed: not finite at {at}", at)
+    if m.kind == "torus":
+        return _solve_rows(H, -g, -g)
+    B = np.zeros((k, d + 1, d + 1))
+    B[:, :d, :d] = H - np.sum(G * X, axis=1)[:, None, None] * np.eye(d)
+    B[:, :d, d] = B[:, d, :d] = X
+    rhs = np.hstack([-g, np.zeros((k, 1))])
+    return _solve_rows(B, rhs, rhs)[:, :d]
+
+
+def _line_search(field, m, rows, step, X, G, g, gsq) -> np.ndarray:
+    """Armijo backtracking on |g|^2 from each of `rows`, in lockstep: 40 halvings
+    of t along its Newton step, then 40 along -g.  Off the torus a candidate
+    that nearly vanishes fails.  An accepted candidate replaces the row of X,
+    G, g and gsq in place; returns the rows that found none."""
+    pending = np.arange(len(rows))       # positions in rows still searching
+    for direction in (step, -g[rows]):
+        t = 1.0
+        for _ in range(40):
+            if not pending.size:
                 break
-        if not improved:
-            return None  # NewtonDivergence: seed silently discarded
-    if gsq <= RESIDUAL_TOL ** 2:
-        return x
-    return None
+            at = rows[pending]
+            cand = X[at] + t * direction[pending]
+            if m.kind != "torus":
+                r = np.linalg.norm(cand, axis=1, keepdims=True)
+                cand = cand / r
+            Gc, gc = _gradients(field, m, cand)
+            gcsq = np.sum(gc * gc, axis=1)
+            # a non-finite gradient fails both comparisons
+            ok = (gcsq < gsq[at] * (1.0 - 1e-4 * t)) | (gcsq <= 1e-24)
+            if m.kind != "torus":
+                ok &= r[:, 0] >= 1e-12
+            X[at[ok]], G[at[ok]], g[at[ok]], gsq[at[ok]] = cand[ok], Gc[ok], gc[ok], gcsq[ok]
+            pending = pending[~ok]
+            t *= 0.5
+    return rows[pending]
+
+
+def _sweep(field: ScalarField, m: geometry.ManifoldModel, X: np.ndarray):
+    """Damped Newton from every row of X at once, in place; returns the rows
+    whose sweep gradient converged, and their residuals."""
+    G, g = _gradients(field, m, X)
+    bad = ~np.isfinite(g).all(axis=1)
+    if bad.any():
+        at = tuple(X[np.argmax(bad)].tolist())
+        raise DomainError(f"gradient evaluation failed: not finite at seed {at}", at)
+    gsq = np.sum(g * g, axis=1)
+    kept = np.ones(len(X), dtype=bool)
+    live = np.arange(len(X))
+    for _ in range(MAX_NEWTON_ITERS):
+        live = live[kept[live] & (gsq[live] > 1e-24)]
+        if not live.size:
+            break
+        step = _newton_steps(field, m, X[live], G[live], g[live])
+        # NewtonDivergence: a seed whose line search fails is silently discarded
+        kept[_line_search(field, m, live, step, X, G, g, gsq)] = False
+    kept &= gsq <= RESIDUAL_TOL ** 2
+    return X[kept], np.sqrt(gsq[kept])
+
+
+def _dedupe(m: geometry.ManifoldModel, xs: np.ndarray, residuals: np.ndarray) -> np.ndarray:
+    """In row order, a point joins the first found point within DEDUPE_RADIUS
+    and the lower residual wins; distances are taken a block of rows at a
+    time, and again from the next row whenever the found points change."""
+    rep = [0]                    # row of each found point
+    i = 1
+    while i < len(xs):
+        near = geometry.distance(m, xs[i:i + DEDUPE_BLOCK, None], xs[rep]) < DEDUPE_RADIUS
+        first = np.where(near.any(axis=1), near.argmax(axis=1), -1).tolist()
+        for j, k in enumerate(first, start=i):
+            if k < 0:
+                rep.append(j)
+                break
+            if residuals[j] < residuals[rep[k]]:
+                rep[k] = j
+                break
+        i = j + 1
+    return xs[rep]
 
 
 def find_critical_points(field: ScalarField, m: geometry.ManifoldModel,
@@ -162,28 +215,13 @@ def find_critical_points(field: ScalarField, m: geometry.ManifoldModel,
     """
     if grid_resolution is None:
         grid_resolution = 16 if m.kind == "torus" else 6
-    seeds = geometry.seed_points(m, grid_resolution)
-    found: list[np.ndarray] = []
-    residuals: list[float] = []
-    for seed in seeds:
-        x = _newton_from_seed(field, m, seed)
-        if x is None:
-            continue
-        res = gradient_residual(field, m, x)
-        if res > RESIDUAL_TOL:
-            continue
-        for k, y in enumerate(found):
-            if geometry.distance(m, x, y) < DEDUPE_RADIUS:
-                if res < residuals[k]:
-                    found[k], residuals[k] = x, res
-                break
-        else:
-            found.append(x)
-            residuals.append(res)
-    if not found:
+    X = geometry.seed_points(m, grid_resolution)
+    with np.errstate(all="ignore"):
+        xs, residuals = _sweep(field, m, X)
+    if not len(xs):
         raise EmptyResultError("no critical point converged from the seed grid")
 
-    points = [classify(field, m, x) for x in found]
+    points = [classify(field, m, x) for x in _dedupe(m, xs, residuals)]
     points.sort(key=lambda p: (p.index, tuple(round(v, 9) for v in p.location)))
     return [replace(p, id=k) for k, p in enumerate(points)]
 

@@ -52,6 +52,9 @@ CAPTURE_DWELL = 10
 SEED_EPS = 1e-3
 T_MAX_DEFAULT = 200.0
 H_MAX = 1.0
+# step budget per unit of t_max (at least 10 units); the slowest trajectories
+# in the tests take 110, a step chattering across a kink of the field 1e11
+STEPS_PER_TIME = 1000
 
 
 @dataclass
@@ -202,7 +205,8 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
 
     Raises NoConvergenceError (with the partial trajectory attached) when
     t_max elapses before any capture ball claims the endpoint, and
-    StepCollapseError when the adaptive step underflows.
+    StepCollapseError when the adaptive step underflows or when
+    STEPS_PER_TIME * max(t_max, 10) steps do not reach t_max.
     """
     if points is None:
         points = find_critical_points(field, m)
@@ -230,10 +234,12 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
     h = 1e-3
     k1 = rhs(y)
     dwell_id, dwell = None, 0
+    steps, max_steps = 0, STEPS_PER_TIME * max(t_max, 10.0)
     while t < t_max:
         h = min(h, H_MAX, t_max - t)
-        if h < 1e-14 * max(1.0, abs(t)):
-            raise StepCollapseError(f"step size underflow at t={t}")
+        steps += 1
+        if h < 1e-14 * max(1.0, abs(t)) or steps > max_steps:
+            raise StepCollapseError(f"step size collapsed at t={t} after {steps - 1} steps")
         ks = [k1]
         for s in range(1, 7):
             a = _A[s]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -536,6 +537,14 @@ class ScalarField:
         self.array_gradient = compile_tuple(self.partials, dim, _NUMPY_ENV)
         flat = [self.second[i][j] for i in range(dim) for j in range(dim)]
         self._hess = compile_tuple(flat, dim)
+
+    @cached_property
+    def array_hessian(self):
+        """The flat second partials over numpy arrays, compiled on first use:
+        fields that are never swept, such as the -f field of a count, skip it."""
+        n = self.dim
+        return compile_tuple([self.second[i][j] for i in range(n) for j in range(n)],
+                             n, _NUMPY_ENV)
 
     @classmethod
     def from_text(cls, text: str, dim: int) -> "ScalarField":

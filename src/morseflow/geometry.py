@@ -25,6 +25,9 @@ from .errors import DegeneratePointError, DimensionError, UnknownManifoldError
 
 _WRAP_SNAP = 1e-9
 MANIFOLD_NAMES = "torus2, torusN:k, circle, sphere2, rp1, rp2, rp3"
+# seeds per Newton sweep (the default grid of T^4); the batched sweep holds
+# O(seeds * n^2) floats, so a larger grid is refused
+MAX_SEEDS = 65_536
 
 
 @dataclass(frozen=True)
@@ -131,16 +134,20 @@ def unit_lift(m: ManifoldModel, point) -> np.ndarray:
     return p / np.linalg.norm(p)
 
 
-def distance(m: ManifoldModel, a, b) -> float:
-    """Distance between canonical representatives, respecting identifications."""
+def distance(m: ManifoldModel, a, b):
+    """Distance between points, respecting identifications.
+
+    a and b are points, or stacks of points one per row that broadcast
+    against each other; sphere and projective points need not be unit.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if m.kind == "torus":
-        d = np.abs(canonicalize(m, a) - canonicalize(m, b))
-        d = np.minimum(d, 1.0 - d)
-        return float(np.linalg.norm(d))
-    if m.kind == "sphere":
-        return float(np.linalg.norm(canonicalize(m, a) - canonicalize(m, b)))
-    ua, ub = unit_lift(m, a), unit_lift(m, b)
-    return float(min(np.linalg.norm(ua - ub), np.linalg.norm(ua + ub)))
+        d = np.abs(np.mod(a, 1.0) - np.mod(b, 1.0))
+        return np.linalg.norm(np.minimum(d, 1.0 - d), axis=-1)
+    a = a / np.linalg.norm(a, axis=-1, keepdims=True)
+    b = b / np.linalg.norm(b, axis=-1, keepdims=True)
+    d = np.linalg.norm(a - b, axis=-1)
+    return np.minimum(d, np.linalg.norm(a + b, axis=-1)) if m.kind == "projective" else d
 
 
 # --- frames and seed grids ------------------------------------------------------
@@ -169,23 +176,22 @@ def tangent_frame(m: ManifoldModel, point) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def seed_points(m: ManifoldModel, resolution: int) -> list[np.ndarray]:
-    """Deterministic seed grid for the critical point sweep."""
+def seed_points(m: ManifoldModel, resolution: int) -> np.ndarray:
+    """Deterministic seed grid for the critical point sweep, one seed per row;
+    more than MAX_SEEDS cube points are refused before anything is allocated."""
     if resolution < 2:
         raise DimensionError(f"grid resolution must be >= 2, got {resolution}")
+    d = m.ambient_dim
+    if resolution ** d > MAX_SEEDS:
+        fit = int(MAX_SEEDS ** (1.0 / d) + 1e-9)
+        raise DimensionError(
+            f"grid {resolution} gives {resolution ** d} seeds on {m.name}, more than "
+            f"{MAX_SEEDS}; the largest grid that fits is {fit}")
+    axis = (np.arange(resolution) / resolution + 0.5 / resolution if m.kind == "torus"
+            else np.linspace(-1.0, 1.0, resolution))
+    pts = np.stack([ax.ravel() for ax in np.meshgrid(*[axis] * d, indexing="ij")], axis=1)
     if m.kind == "torus":
-        axes = [np.arange(resolution) / resolution + 0.5 / resolution] * m.n
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([ax.ravel() for ax in mesh], axis=1)
-        return [pts[i] for i in range(pts.shape[0])]
-    # sphere / projective: normalized cube grid in the ambient space
-    d = m.n + 1
-    axes = [np.linspace(-1.0, 1.0, resolution)] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([ax.ravel() for ax in mesh], axis=1)
-    out = []
-    for i in range(pts.shape[0]):
-        r = np.linalg.norm(pts[i])
-        if r >= 0.5:
-            out.append(pts[i] / r)
-    return out
+        return pts
+    # sphere / projective: the normalized cube grid, without its centre
+    r = np.sqrt((pts[:, None, :] @ pts[:, :, None])[:, 0, 0])  # bits of norm(row)
+    return pts[r >= 0.5] / r[r >= 0.5, None]

@@ -26,7 +26,7 @@ def validate_field(field: ScalarField, m: geometry.ManifoldModel):
         raise DimensionError(
             f"{m.name} fields use {m.ambient_dim} variables, got dimension {field.dim}")
     if m.kind == "torus":
-        base = np.array(_PROBES[: m.n])
+        base = np.resize(_PROBES, m.n)     # cycles the probes when n > 4
         f0 = field.value(base)
         for i in range(m.n):
             shifted = base.copy()

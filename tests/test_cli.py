@@ -3,6 +3,7 @@ precedence.  Everything drives main(argv) in-process."""
 
 import json
 import re
+import time
 import warnings
 from pathlib import Path
 
@@ -36,6 +37,14 @@ def test_nonperiodic_function_is_usage_error(capsys):
                                       "--function", "x1"])
     assert code == 2
     assert "periodic" in err
+
+
+def test_periodicity_checked_in_every_variable_of_torus6(capsys):
+    # the check probes each of the six variables, more than it has probe values
+    code, out, err = run_cli(capsys, ["critpoints", "--manifold", "torusN:6",
+                                      "--function", "cos(2*pi*x1) + x6"])
+    assert code == 2
+    assert "not 1-periodic in x6" in err
 
 
 def test_bad_expression_is_usage_error(capsys):
@@ -103,6 +112,36 @@ def test_float_fault_in_sweep_is_domain_error_without_warning(capsys):
     assert code == 1
     assert err.startswith("morseflow: error:")
     assert "Warning" not in err
+
+
+def test_fault_at_a_seed_is_domain_error_without_warning(capsys):
+    # the seed column x1 = 1/32 sits on the zero of sin(2*pi*(x1 - 1/32)),
+    # where the derivative of the sqrt divides zero by zero
+    code, out, err = run_cli(capsys, [
+        "critpoints", "--manifold", "torus2", "--function",
+        "cos(2*pi*x1)+cos(2*pi*x2)+0.1*sqrt(sin(2*pi*(x1-1/32))^2)"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("morseflow: error: gradient evaluation failed")
+    assert "Warning" not in err
+
+
+def test_seed_grid_limit(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, ["critpoints", "--manifold", "torusN:5",
+                                      "--function", "cos(2*pi*x1) + cos(2*pi*x5)"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert "1048576 seeds on torusN:5" in err and "largest grid that fits is 9" in err
+    code, _, err = run_cli(capsys, ["critpoints", "--manifold", "circle", "--function",
+                                    "cos(2*pi*x1)", "--grid", "70000"])
+    assert code == 2 and "largest grid that fits is 65536" in err
+    code, out, _ = run_cli(capsys, ["critpoints", "--manifold", "torusN:4", "--function",
+                                    "cos(2*pi*x1) + cos(2*pi*x2) + cos(2*pi*x3) + cos(2*pi*x4)",
+                                    "--grid", "8"])
+    assert code == 0
+    indices = [json.loads(line)["index"] for line in out.splitlines()[1:]]
+    assert [indices.count(k) for k in range(5)] == [1, 4, 6, 4, 1]
 
 
 @pytest.mark.parametrize("argv,needle", [

@@ -100,3 +100,57 @@ def test_degenerate_field_detected():
 def test_verify_morse_true_on_examples(torus_setup):
     _, _, pts = torus_setup
     assert critpoint.verify_morse(pts)
+
+
+@pytest.mark.parametrize("manifold,function,grid,per_index", [
+    ("torus2", "cos(2*pi*x1) + cos(2*pi*x2)", None, (1, 2, 1)),
+    ("sphere2", "x3", None, (1, 0, 1)),
+    ("rp1", "(x2^2) / (x1^2 + x2^2)", None, (1, 1)),
+    ("rp2", "(x2^2 + 2*x3^2) / (x1^2 + x2^2 + x3^2)", None, (1, 1, 1)),
+    ("rp3", "(x2^2 + 2*x3^2 + 3*x4^2) / (x1^2 + x2^2 + x3^2 + x4^2)", None, (1, 1, 1, 1)),
+    ("torusN:3", "cos(2*pi*x1) + cos(2*pi*x2) + cos(2*pi*x3)", None, (1, 3, 3, 1)),
+    ("circle", "cos(2*pi*8*x1)", 64, (8, 8)),
+])
+def test_golden_point_tables(manifold, function, grid, per_index):
+    m = geometry.parse_manifold(manifold)
+    f = ScalarField.from_text(function, m.ambient_dim)
+    pts = critpoint.find_critical_points(f, m, grid)
+    assert tuple(sum(p.index == k for p in pts) for k in range(m.n + 1)) == per_index
+    assert [p.id for p in pts] == list(range(len(pts)))
+    assert critpoint.verify_morse(pts)
+
+
+def test_singular_hessian_everywhere_falls_back_to_gradient(monkeypatch):
+    # the x2 column of the Hessian of cos(2*pi*x1) vanishes: every Newton
+    # solve is singular and every row steps along -g, down to the circle of
+    # minima x1 = 1/2, where the 16 seed columns give 16 degenerate points
+    steps = []
+    solve = critpoint._solve_rows
+
+    def spy(A, b, fallback):
+        x = solve(A, b, fallback)
+        steps.append(np.array_equal(x, fallback))
+        return x
+
+    monkeypatch.setattr(critpoint, "_solve_rows", spy)
+    f = ScalarField.from_text("cos(2*pi*x1)", 2)
+    pts = critpoint.find_critical_points(f, geometry.torus(2))
+    assert steps and all(steps)
+    assert len(pts) == 16
+    assert not any(p.nondegenerate for p in pts)
+    assert {round(p.location[0], 9) for p in pts} == {0.5}
+
+
+def test_solve_rows_mixed_singular_and_regular():
+    A = np.array([[[2.0, 0.0], [0.0, 4.0]],
+                  [[1.0, 2.0], [2.0, 4.0]],      # singular
+                  [[3.0, 1.0], [1.0, 2.0]],
+                  [[0.0, 0.0], [0.0, 0.0]]])     # singular
+    b = np.array([[2.0, 8.0], [1.0, 1.0], [5.0, 5.0], [3.0, -3.0]])
+    fallback = -b
+    x = critpoint._solve_rows(A, b, fallback)
+    assert np.allclose(x[0], (1.0, 2.0)) and np.allclose(x[2], (1.0, 2.0))
+    assert np.array_equal(x[[1, 3]], fallback[[1, 3]])
+    # all regular: one stacked solve, the same answers row by row
+    regular = critpoint._solve_rows(A[[0, 2]], b[[0, 2]], fallback[[0, 2]])
+    assert np.array_equal(regular, x[[0, 2]])

@@ -15,7 +15,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morseflow import critpoint, floer, flow, geometry, pipeline
-from morseflow.errors import DomainError, IndexGapError, ResolutionWarning, SourceIndexError
+from morseflow.errors import (
+    DomainError,
+    IndexGapError,
+    ResolutionWarning,
+    SourceIndexError,
+    StepCollapseError,
+)
 from morseflow.funcexpr import ScalarField
 
 
@@ -256,6 +262,17 @@ def test_classify_division_by_zero_is_domain_error():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
             flow.integrate(f, m, (0.0, 0.6, 0.8), points=pts)  # on x1 = 0
+
+
+def test_flow_along_a_kink_collapses_within_the_step_budget():
+    # from x1 = 0.3 the flow reaches the kink x1 = 0 near t = 3.3; across it
+    # the error control holds the step near 1e-11, far above the underflow
+    # floor, and t = 5 would take some 1e11 steps
+    f = ScalarField.from_text("x3 + 0.1*sqrt(x1^2)", 3)
+    m = geometry.sphere(2)
+    pts = critpoint.find_critical_points(f, m)
+    with pytest.raises(StepCollapseError, match=r"at t=3\.2.* after 10000 steps"):
+        flow.integrate(f, m, (0.3, 0.5, 0.8), t_max=5.0, points=pts)
 
 
 def _points(locations):

@@ -273,3 +273,16 @@ def test_compiled_gradient_computes_each_subexpression_once():
     ops = [ast.dump(node) for node in ast.walk(ast.parse(src))
            if isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Call))]
     assert len(ops) == len(set(ops))
+
+
+@pytest.mark.parametrize("text,dim", CASES)
+def test_array_hessian_matches_scalar_hessian(text, dim):
+    field = funcexpr.ScalarField.from_text(text, dim)
+    assert "array_hessian" not in vars(field)       # compiled on first use only
+    X = np.array([[0.1234567, 0.6543219, 0.3141592], [0.8765432, -0.25, 0.5]])[:, :dim]
+    rows = np.empty((len(X), dim * dim))
+    for k, v in enumerate(field.array_hessian(*X.T)):
+        rows[:, k] = v                               # constant entries broadcast
+    for x, flat in zip(X, rows):
+        assert np.allclose(flat.reshape(dim, dim), field.hessian(x), rtol=1e-12, atol=1e-12)
+    assert field.array_hessian is vars(field)["array_hessian"]

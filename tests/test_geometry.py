@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from morseflow import geometry
-from morseflow.errors import DegeneratePointError, UnknownManifoldError
+from morseflow.errors import DegeneratePointError, DimensionError, UnknownManifoldError
 
 
 def test_parse_manifold_names():
@@ -89,3 +89,12 @@ def test_seed_points_cover_and_canonical():
     sp = geometry.sphere(2)
     for s in geometry.seed_points(sp, 4):
         assert abs(np.linalg.norm(s) - 1.0) < 1e-12
+
+
+def test_seed_grid_bounded_before_allocation():
+    # the default grid of T^4 is exactly MAX_SEEDS
+    assert geometry.seed_points(geometry.torus(4), 16).shape == (geometry.MAX_SEEDS, 4)
+    for m, grid, fit in ((geometry.torus(5), 16, 9), (geometry.torus(1), 70000, 65536),
+                         (geometry.projective(3), 17, 16), (geometry.torus(40), 2, 1)):
+        with pytest.raises(DimensionError, match=f"largest grid that fits is {fit}$"):
+            geometry.seed_points(m, grid)
