@@ -17,7 +17,6 @@ the bordered system [[Hess F - (grad F . p) I, p], [p^T, 0]], frame-free.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -108,14 +107,16 @@ def _gradients(field: ScalarField, m: geometry.ManifoldModel, X: np.ndarray):
 
 
 def _solve_rows(A: np.ndarray, b: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    """x[i] with A[i] x[i] = b[i] for every row; a singular A[i] gives fallback[i]."""
+    """x[i] with A[i] x[i] = b[i] for every row; a singular A[i] gives fallback[i].
+
+    A row is singular when its LU factor, the one `solve` raises on, has a
+    zero pivot: there `slogdet` gives sign 0."""
     try:
         return np.linalg.solve(A, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
         out = fallback.copy()
-        for i in range(len(b)):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                out[i] = np.linalg.solve(A[i], b[i])
+        ok = np.linalg.slogdet(A)[0] != 0
+        out[ok] = np.linalg.solve(A[ok], b[ok][..., None])[..., 0]
         return out
 
 

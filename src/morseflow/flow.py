@@ -1,17 +1,23 @@
 """Negative gradient flow and mod-2 counting of connecting trajectories.
 
 Integration runs an embedded Dormand-Prince 4/5 pair at relative
-tolerance 1e-9 on dx/dt = -metric^{-1} df.  Torus trajectories are kept
-unwrapped (raw chart coordinates, reduced mod 1 only for distance tests)
-and sphere / projective trajectories live on the unit sphere in ambient
-coordinates with a tangent re-projection and renormalization each step;
-for RP^n the unit sphere is the double cover, a local isometry of the
-round quotient, so flow lines downstairs are exactly the projected ones.
+tolerance 1e-9 on dx/dt = -metric^{-1} df.  Each step, and the right-hand
+side it evaluates, is straight-line Python compiled once per manifold
+model; it does the floating-point operations of the textbook stage loop
+in the same order, so trajectories are bitwise that loop's.  Torus
+trajectories are kept unwrapped (raw chart coordinates, reduced mod 1
+only for distance tests) and sphere / projective trajectories live on
+the unit sphere in ambient coordinates with a tangent re-projection and
+renormalization each step; for RP^n the unit sphere is the double cover,
+a local isometry of the round quotient, so flow lines downstairs are
+exactly the projected ones.
 
 A trajectory acquires its sink label when it enters the capture ball
 (radius 1e-4) of a critical point and stays there for 10 consecutive
 accepted steps; the dwell requirement prevents false capture during a
-slow pass near a saddle.
+slow pass near a saddle.  A trajectory that crawls outside every ball for
+STALL_STEPS accepted steps drains towards a critical point the sweep
+missed and is retired unresolved.
 
 Counting M(f; p, q) for index difference one: the unstable sphere of an
 index-1 point is two antipodal seeds, and each seed trajectory is itself
@@ -26,6 +32,7 @@ n <= 2 every pair has such an index-1 end; a pair of index (k, k-1) with
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from bisect import bisect_left, bisect_right
@@ -55,6 +62,10 @@ H_MAX = 1.0
 # step budget per unit of t_max (at least 10 units); the slowest trajectories
 # in the tests take 110, a step chattering across a kink of the field 1e11
 STEPS_PER_TIME = 1000
+# accepted steps outside every capture ball, slower than CAPTURE_RADIUS per unit
+# time, after which a seed is retired: it drains towards a critical point the
+# sweep missed.  No captured trajectory of the tests or benchmark takes one.
+STALL_STEPS = 1000
 
 
 @dataclass
@@ -77,43 +88,91 @@ class ConnectionCount:
     flagged: bool = False
 
 
-# --- right-hand side ---------------------------------------------------------
+# --- Dormand-Prince 5(4), compiled per manifold model ------------------------------
+
+_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def _source(m: geometry.ManifoldModel) -> str:
+    """Python source of `_rhs(grad)` and `_step(rhs)` on manifold model m.
+
+    `_rhs(grad)` gives y -> -metric^{-1} grad(*y) (tangent-projected off the
+    torus) as a tuple, with gradient faults raised as DomainError; y holds
+    floats or numpy rows.  `_step(rhs)` gives the Dormand-Prince step
+    (y, k1, h) -> (y_new, k7, err), every stage through `rhs`.  Both do the
+    floating-point operations of the textbook stage loop in its order, so
+    results are bitwise the loop's."""
+    dim = m.ambient_dim
+    x = [f"x{i}" for i in range(dim)]
+    g = [f"g{i}" for i in range(dim)]
+    if m.kind == "torus":
+        out = [f"{-1.0 / d!r} * {gi}" for d, gi in zip(m.metric_diag or (1.0,) * dim, g)]
+        project = []
+    else:
+        out = [f"-({gi} - dot * {xi})" for gi, xi in zip(g, x)]
+        project = [f"        {', '.join(x)}, = y",
+                   f"        dot = 0.0 + {' + '.join(f'{gi} * {xi}' for gi, xi in zip(g, x))}"]
+    k = [[f"k{s + 1}_{i}" for i in range(dim)] for s in range(7)]
+    lines = ["def _rhs(grad):", "    def rhs(y):", "        try:",
+             f"            {', '.join(g)}, = grad(*y)",
+             "        except EVAL_ERRORS as exc:",
+             '            raise DomainError(f"gradient evaluation failed: {exc}", y) from exc',
+             *project, f"        return ({', '.join(out)},)", "    return rhs",
+             "def _step(rhs):", "    def step(y, k1, h):",
+             f"        {', '.join(f'y{i}' for i in range(dim))}, = y",
+             f"        {', '.join(k[0])}, = k1"]
+    for s in range(1, 7):
+        terms = [(j, f"a{s}_{j}") for j, a in enumerate(_A[s]) if a != 0.0]
+        lines += [f"        {c} = h * {_A[s][j]!r}" for j, c in terms]
+        stage = [f"y{i}" + "".join(f" + {c} * {k[j][i]}" for j, c in terms)
+                 for i in range(dim)]
+        if s < 6:
+            lines.append(f"        {', '.join(k[s])}, = rhs(({', '.join(stage)},))")
+    # the stage-7 state is the 5th order solution (FSAL)
+    lines += [f"        n{i} = {z}" for i, z in enumerate(stage)]
+    lines += [f"        y_new = ({', '.join(f'n{i}' for i in range(dim))},)",
+              "        k7 = rhs(y_new)", f"        {', '.join(k[6])}, = k7"]
+    for i in range(dim):
+        e = "".join(f" + {ej!r} * {k[j][i]}" for j, ej in enumerate(_E) if ej != 0.0)
+        lines.append(f"        r{i} = (0.0{e}) * h / ({ATOL!r} + {RTOL!r} * "
+                     f"max(abs(y{i}), abs(n{i})))")
+    squares = "".join(f" + r{i} * r{i}" for i in range(dim))
+    lines += [f"        return y_new, k7, sqrt((0.0{squares}) / {dim})", "    return step"]
+    return "\n".join(lines)
+
+
+@functools.cache
+def _compiled(m: geometry.ManifoldModel):
+    """The (_rhs, _step) factories of one manifold model, compiled once; each
+    caller binds its own gradient or RHS, so no field is cached."""
+    namespace = {"EVAL_ERRORS": EVAL_ERRORS, "DomainError": DomainError,
+                 "sqrt": math.sqrt, "max": max, "abs": abs}
+    exec(_source(m), namespace)
+    return namespace["_rhs"], namespace["_step"]
+
 
 def make_rhs(field: ScalarField, m: geometry.ManifoldModel):
     """Compiled callable y -> dy/dt = -metric^{-1} grad f as a tuple.
 
     Calls field._grad directly; evaluation failures become DomainError."""
-    rhs = _rhs(field._grad, m)
-
-    def checked(y):
-        try:
-            return rhs(y)
-        except EVAL_ERRORS as exc:
-            raise DomainError(f"gradient evaluation failed: {exc}", y) from exc
-    return checked
-
-
-def _rhs(grad, m: geometry.ManifoldModel):
-    """y -> -metric^{-1} grad(*y) as a tuple; y holds floats or numpy rows."""
-    if m.kind == "torus":
-        neg_inv = tuple(-1.0 / d for d in (m.metric_diag or (1.0,) * m.n))
-        return lambda y: tuple(c * g for c, g in zip(neg_inv, grad(*y)))
-
-    def rhs(y):
-        g = grad(*y)
-        dot = 0.0
-        for gi, yi in zip(g, y):
-            dot = dot + gi * yi
-        return tuple(-(gi - dot * yi) for gi, yi in zip(g, y))
-    return rhs
+    return _compiled(m)[0](field._grad)
 
 
 def array_rhs(field: ScalarField, m: geometry.ManifoldModel):
-    """Y -> dY/dt as an array, by the `_rhs` formula on each column of Y.
+    """Y -> dY/dt as an array, by the `make_rhs` formula on each column of Y.
 
     Uses the numpy gradient; constant partials broadcast over the columns.
     Callers set the np.errstate under which faults raise."""
-    rhs = _rhs(field.array_gradient, m)
+    rhs = _compiled(m)[0](field.array_gradient)
 
     def f(Y):
         K = np.empty_like(Y)
@@ -184,19 +243,7 @@ def _capture_lookup(m: geometry.ManifoldModel, points: list[CriticalPoint]):
     return lookup
 
 
-# --- Dormand-Prince 5(4) -------------------------------------------------------
-
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-
+# --- integration ------------------------------------------------------------------
 
 def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
               t_max: float = T_MAX_DEFAULT, points: list[CriticalPoint] | None = None,
@@ -204,7 +251,9 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
     """Flow `start` down the negative gradient until capture.
 
     Raises NoConvergenceError (with the partial trajectory attached) when
-    t_max elapses before any capture ball claims the endpoint, and
+    t_max elapses before any capture ball claims the endpoint, or when the
+    flow stays slower than CAPTURE_RADIUS outside every ball for STALL_STEPS
+    accepted steps, and
     StepCollapseError when the adaptive step underflows or when
     STEPS_PER_TIME * max(t_max, 10) steps do not reach t_max.
     """
@@ -215,9 +264,8 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
     else:
         y = tuple(float(v) for v in geometry.unit_lift(m, start))
     rhs = make_rhs(field, m)
+    step = _compiled(m)[1](rhs)
     capture = _capture_lookup(m, points)
-    dim = len(y)
-    rng = tuple(range(dim))
 
     fval = field.value
     traj = Trajectory([0.0], [y], [fval(y)], source_label, None, 0.0)
@@ -233,40 +281,14 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
     t = 0.0
     h = 1e-3
     k1 = rhs(y)
-    dwell_id, dwell = None, 0
+    dwell_id, dwell, stalled = None, 0, 0
     steps, max_steps = 0, STEPS_PER_TIME * max(t_max, 10.0)
     while t < t_max:
         h = min(h, H_MAX, t_max - t)
         steps += 1
         if h < 1e-14 * max(1.0, abs(t)) or steps > max_steps:
             raise StepCollapseError(f"step size collapsed at t={t} after {steps - 1} steps")
-        ks = [k1]
-        for s in range(1, 7):
-            a = _A[s]
-            yy = list(y)
-            for j in range(s):
-                aj = a[j]
-                if aj != 0.0:
-                    kj = ks[j]
-                    for i in rng:
-                        yy[i] += h * aj * kj[i]
-            ks.append(rhs(tuple(yy)))
-        y_new = tuple(yy)  # stage 7 state is the 5th order solution (FSAL)
-        k7 = ks[6]
-
-        err = 0.0
-        for i in rng:
-            e = 0.0
-            for j in range(7):
-                ej = _E[j]
-                if ej != 0.0:
-                    e += ej * ks[j][i]
-            e *= h
-            sc = ATOL + RTOL * max(abs(y[i]), abs(y_new[i]))
-            r = e / sc
-            err += r * r
-        err = math.sqrt(err / dim)
-
+        y_new, k7, err = step(y, k1, h)
         if err <= 1.0:
             t += h
             if m.kind != "torus":
@@ -281,6 +303,7 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
             traj.f_values.append(fval(y))
 
             hit = capture(y)
+            stalled = stalled + 1 if hit is None and math.hypot(*k1) < CAPTURE_RADIUS else 0
             if hit is None:
                 dwell_id, dwell = None, 0
             elif hit == dwell_id:
@@ -291,11 +314,16 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
                 traj.sink_label = dwell_id
                 traj.energy = traj.f_values[0] - traj.f_values[-1]
                 return traj
+            if stalled >= STALL_STEPS:
+                break
 
         fac = 0.9 * err ** -0.2 if err > 1e-30 else 5.0
         h *= min(5.0, max(0.2, fac))
 
     traj.energy = traj.f_values[0] - traj.f_values[-1]
+    if stalled >= STALL_STEPS:
+        raise NoConvergenceError(f"stalled outside every capture ball at t={t}",
+                                 trajectory=traj)
     raise NoConvergenceError(f"no capture within t_max={t_max}", trajectory=traj)
 
 

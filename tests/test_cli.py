@@ -163,12 +163,15 @@ def test_impossible_critical_points_refused(capsys, argv, needle):
 
 def test_disconnected_ranks_refused(capsys):
     # the 4-point grid finds 8 of the 12 critical points (chi 0, a minimum and
-    # a maximum); seeds drained towards the missed points reach t_max
-    # uncaptured, 8 of the 16 counts are flagged and b0 = b2 = 0
+    # a maximum); seeds drained towards the missed points are retired as
+    # stalled, 8 of the 16 counts are flagged and b0 = b2 = 0.  Retiring them
+    # takes about 0.1 s; running them to t_max took over 2 s.
+    t0 = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         code, out, err = run_cli(capsys, ["homology", "--manifold", "torus2", "--function",
                                           "cos(2*pi*3*x1) + cos(2*pi*x2)", "--grid", "4"])
+    assert time.perf_counter() - t0 < 0.5
     assert code == 1
     assert out == ""
     assert err.startswith("morseflow: error: ranks [0, 0, 0] have b0 = 0 and b2 = 0")

@@ -154,3 +154,31 @@ def test_solve_rows_mixed_singular_and_regular():
     # all regular: one stacked solve, the same answers row by row
     regular = critpoint._solve_rows(A[[0, 2]], b[[0, 2]], fallback[[0, 2]])
     assert np.array_equal(regular, x[[0, 2]])
+
+
+def _solve_rows_per_row(A, b, fallback):
+    """The row-by-row reference: one solve per row, fallback where it raises."""
+    out = fallback.copy()
+    for i in range(len(b)):
+        try:
+            out[i] = np.linalg.solve(A[i], b[i])
+        except np.linalg.LinAlgError:
+            pass
+    return out
+
+
+@pytest.mark.parametrize("manifold,function,grid", [
+    ("torus2", "cos(2*pi*x1)", None),
+    ("torusN:5", "cos(2*pi*x1) + cos(2*pi*x5)", 5),
+    ("sphere2", "x3^2", None),
+    ("torus2", "cos(2*pi*x1) + cos(2*pi*x2) + 0.05*cos(2*pi*(x1 + x2))", None),
+    ("torus2", "cos(2*pi*x1)*cos(2*pi*x2)", None),   # Morse; 6 of 256 seeds singular
+])
+def test_masked_solve_matches_per_row_solves(monkeypatch, manifold, function, grid):
+    # singular rows are masked by slogdet and the rest solved in one call;
+    # the point lists equal those of solving every row alone
+    m = geometry.parse_manifold(manifold)
+    f = ScalarField.from_text(function, m.ambient_dim)
+    masked = critpoint.find_critical_points(f, m, grid)
+    monkeypatch.setattr(critpoint, "_solve_rows", _solve_rows_per_row)
+    assert masked == critpoint.find_critical_points(f, m, grid)

@@ -8,6 +8,7 @@ metric.  Pairs of index (2, 1) are counted from the saddle under -f, and
 their representatives are -f trajectories run backwards.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from morseflow import critpoint, floer, flow, geometry, pipeline
 from morseflow.errors import (
     DomainError,
     IndexGapError,
+    NoConvergenceError,
     ResolutionWarning,
     SourceIndexError,
     StepCollapseError,
@@ -309,3 +311,129 @@ def test_capture_lookup_matches_every_target_in_turn(case, data):
     expected = next((cid for cid, rs in targets
                      if flow._target_distance(m, y, rs) < flow.CAPTURE_RADIUS), None)
     assert flow._capture_lookup(m, pts)(y) == expected
+
+
+def _reference_rhs(grad, m):
+    """-metric^{-1} grad f, tangent-projected off the torus, as a plain loop."""
+    if m.kind == "torus":
+        neg_inv = [-1.0 / d for d in (m.metric_diag or (1.0,) * m.n)]
+        return lambda y: tuple(c * g for c, g in zip(neg_inv, grad(*y)))
+
+    def rhs(y):
+        g = grad(*y)
+        dot = 0.0
+        for gi, yi in zip(g, y):
+            dot = dot + gi * yi
+        return tuple(-(gi - dot * yi) for gi, yi in zip(g, y))
+    return rhs
+
+
+def _reference_integrate(field, m, y, points, t_max=flow.T_MAX_DEFAULT):
+    """The textbook Dormand-Prince stage loop (times, points, f values), with
+    integrate's step control, renormalisation off the torus and capture dwell."""
+    rhs, capture = _reference_rhs(field._grad, m), flow._capture_lookup(m, points)
+    times, ys, fs = [0.0], [y], [field.value(y)]
+    t, h, k1, dwell_id, dwell = 0.0, 1e-3, rhs(y), None, 0
+    while t < t_max and dwell < flow.CAPTURE_DWELL:
+        h = min(h, flow.H_MAX, t_max - t)
+        ks = [k1]
+        for s in range(1, 7):
+            yy = list(y)
+            for j, aj in enumerate(flow._A[s]):
+                if aj != 0.0:
+                    for i in range(len(y)):
+                        yy[i] += h * aj * ks[j][i]
+            ks.append(rhs(tuple(yy)))
+        y_new, err = tuple(yy), 0.0
+        for i in range(len(y)):
+            e = 0.0
+            for j, ej in enumerate(flow._E):
+                if ej != 0.0:
+                    e += ej * ks[j][i]
+            e *= h
+            r = e / (flow.ATOL + flow.RTOL * max(abs(y[i]), abs(y_new[i])))
+            err += r * r
+        err = math.sqrt(err / len(y))
+        if err <= 1.0:
+            t += h
+            if m.kind != "torus":
+                r = math.sqrt(sum(v * v for v in y_new))
+                y_new = tuple(v / r for v in y_new)
+            y, k1 = y_new, (ks[6] if m.kind == "torus" else rhs(y_new))
+            times.append(t)
+            ys.append(y)
+            fs.append(field.value(y))
+            hit = capture(y)
+            if hit is None:
+                dwell_id, dwell = None, 0
+            else:
+                dwell_id, dwell = hit, dwell + 1 if hit == dwell_id else 1
+        fac = 0.9 * err ** -0.2 if err > 1e-30 else 5.0
+        h *= min(5.0, max(0.2, fac))
+    return times, ys, fs
+
+
+_TORUS2 = "cos(2*pi*x1) + cos(2*pi*x2)"
+
+
+@pytest.mark.parametrize("m,text,start,grid", [
+    (geometry.torus(2), _TORUS2, (0.23, 0.41), None),
+    (geometry.torus(2, metric_diag=(1.0, 1.3)), _TORUS2, (0.23, 0.41), None),
+    (geometry.sphere(2), "x3 + 0.3*x1*x2", (0.6, 0.0, 0.8), None),
+    (geometry.projective(2), "(1*x2^2 + 2*x3^2) / (x1^2 + x2^2 + x3^2)", (0.6, 0.6, 0.5), None),
+    (geometry.torus(1), "cos(2*pi*3*x1) + 0.2*sin(2*pi*x1)", (0.1,), 24),
+    (geometry.parse_manifold("torusN:3"), _TORUS2 + " + cos(2*pi*x3)", (0.1, 0.2, 0.3), 8),
+])
+def test_compiled_step_is_bitwise_the_stage_loop(m, text, start, grid):
+    f = ScalarField.from_text(text, m.ambient_dim)
+    pts = critpoint.find_critical_points(f, m, grid)
+    traj = flow.integrate(f, m, start, points=pts)
+    y = tuple(float(v) for v in (start if m.kind == "torus" else geometry.unit_lift(m, start)))
+    assert traj.sink_label is not None and len(traj.times) > 20
+    assert (traj.times, traj.points, traj.f_values) == \
+        _reference_integrate(f, m, y, pts)
+
+
+@pytest.mark.parametrize("text,dim,m,start,calls,accepted", [
+    (_TORUS2, 2, geometry.torus(2), (0.25, 0.5), 403, 65),
+    (_TORUS2, 2, geometry.torus(2), (0.23, 0.41), 409, 68),
+    ("x3", 3, geometry.sphere(2), (1.0, 0.0, 0.0), 1106, 157),
+])
+def test_every_stage_goes_through_make_rhs(monkeypatch, text, dim, m, start, calls, accepted):
+    # a benchmark tracer counts RHS evaluations by wrapping what make_rhs
+    # returns and derives rejected steps from the count: 1 + 6 per attempted
+    # step, plus 1 per accepted step off the torus
+    f = ScalarField.from_text(text, dim)
+    pts = critpoint.find_critical_points(f, m)
+    make_rhs, n = flow.make_rhs, [0]
+
+    def counting_make_rhs(fld, mm):
+        rhs = make_rhs(fld, mm)
+
+        def counted(y):
+            n[0] += 1
+            return rhs(y)
+        return counted
+    monkeypatch.setattr(flow, "make_rhs", counting_make_rhs)
+    traj = flow.integrate(f, m, start, points=pts)
+    assert (n[0], len(traj.times) - 1) == (calls, accepted)
+
+
+def test_stalled_seed_retired_long_before_t_max():
+    # the 4-point grid misses 4 of the 12 critical points; a seed draining
+    # towards a missed minimum is retired after STALL_STEPS slow steps
+    f = ScalarField.from_text("cos(2*pi*3*x1) + cos(2*pi*x2)", 2)
+    m = geometry.torus(2)
+    pts = critpoint.find_critical_points(f, m, 4)
+    stalled = []
+    for p in pts:
+        if p.index == 1:
+            for start in flow._seed_states(m, p, flow._unstable_direction(f, m, p)):
+                try:
+                    flow.integrate(f, m, start, points=pts)
+                except NoConvergenceError as exc:
+                    stalled.append(exc)
+    assert stalled and all("stalled" in str(exc) for exc in stalled)
+    for exc in stalled:
+        assert flow.STALL_STEPS < len(exc.trajectory.times) < 2 * flow.STALL_STEPS
+        assert exc.trajectory.times[-1] < 20.0
