@@ -35,7 +35,7 @@ DEDUPE_BLOCK = 256       # rows whose distances to the found points are taken at
 @dataclass(frozen=True)
 class CriticalPoint:
     location: tuple          # canonical representative
-    index: int               # number of negative Hessian eigenvalues
+    index: int               # Hessian eigenvalues below -DEGENERACY_REL * scale
     eigenvalues: tuple       # ascending
     residual: float          # gradient norm (tangent-projected off the torus)
     nondegenerate: bool
@@ -79,7 +79,8 @@ def classify(field: ScalarField, m: geometry.ManifoldModel, point) -> CriticalPo
     eig = np.linalg.eigh(H)[0]
     scale = max(float(np.max(np.abs(eig))), 1e-30)
     nondeg = bool(np.min(np.abs(eig)) > DEGENERACY_REL * scale)
-    index = int(np.sum(eig < 0.0))
+    # within the degeneracy threshold the sign of an eigenvalue is rounding noise
+    index = int(np.sum(eig < -DEGENERACY_REL * scale))
     loc = geometry.canonicalize(m, point)
     return CriticalPoint(
         location=tuple(float(v) for v in loc),
@@ -189,21 +190,30 @@ def _sweep(field: ScalarField, m: geometry.ManifoldModel, X: np.ndarray):
 
 def _dedupe(m: geometry.ManifoldModel, xs: np.ndarray, residuals: np.ndarray) -> np.ndarray:
     """In row order, a point joins the first found point within DEDUPE_RADIUS
-    and the lower residual wins; distances are taken a block of rows at a
-    time, and again from the next row whenever the found points change."""
+    and the lower residual wins.  Distances are taken a block of rows at a
+    time against the found points; a found or replaced point takes only its
+    own column again."""
     rep = [0]                    # row of each found point
-    i = 1
-    while i < len(xs):
-        near = geometry.distance(m, xs[i:i + DEDUPE_BLOCK, None], xs[rep]) < DEDUPE_RADIUS
-        first = np.where(near.any(axis=1), near.argmax(axis=1), -1).tolist()
-        for j, k in enumerate(first, start=i):
+    for start in range(1, len(xs), DEDUPE_BLOCK):
+        rows = xs[start:start + DEDUPE_BLOCK, None]
+        near = np.zeros((len(rows), len(rep) + len(rows)), dtype=bool)
+        near[:, :len(rep)] = geometry.distance(m, rows, xs[rep]) < DEDUPE_RADIUS
+        j = 0
+        while j < len(rows):
+            hits = near[j:, :len(rep)]
+            first = np.where(hits.any(axis=1), hits.argmax(axis=1), -1).tolist()
+            for j, k in enumerate(first, start=j):
+                if k < 0 or residuals[start + j] < residuals[rep[k]]:
+                    break
+            else:
+                break
             if k < 0:
-                rep.append(j)
-                break
-            if residuals[j] < residuals[rep[k]]:
-                rep[k] = j
-                break
-        i = j + 1
+                k = len(rep)
+                rep.append(start + j)
+            else:
+                rep[k] = start + j
+            near[:, k] = geometry.distance(m, rows, xs[[rep[k]]])[:, 0] < DEDUPE_RADIUS
+            j += 1
     return xs[rep]
 
 

@@ -25,18 +25,20 @@ a candidate connecting orbit, so from an index-1 source the raw count is
 the number of seeds sinking at q.  M(f; p, q) is M(-f; q, p) run
 backwards, and under -f a point of index k has index n - k (Milnor,
 Lectures on the h-cobordism theorem, 1965), so a pair of index (n, n-1)
-is counted from q under -f and its representatives are reversed.  On
-n <= 2 every pair has such an index-1 end; a pair of index (k, k-1) with
-2 <= k <= n-1 has none and is refused.
+is counted by flowing f backwards in time from the two seeds of q's
+stable sphere (f's step with h negated; IEEE negation is exact, so this is
+bitwise the flow of -f up to the sign of zeros), and its representatives
+are reversed.  On n <= 2 every pair has such an index-1 end; a pair of
+index (k, k-1) with 2 <= k <= n-1 has none and is refused.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -50,11 +52,12 @@ from .errors import (
     SourceIndexError,
     StepCollapseError,
 )
-from .funcexpr import EVAL_ERRORS, Neg, ScalarField
+from .funcexpr import EVAL_ERRORS, ScalarField
 
 RTOL = 1e-9
 ATOL = 1e-12
 CAPTURE_RADIUS = 1e-4
+CELLS = int(0.5 / CAPTURE_RADIUS)   # capture cells per unit length, of side >= 2 radii
 CAPTURE_DWELL = 10
 SEED_EPS = 1e-3
 T_MAX_DEFAULT = 200.0
@@ -103,14 +106,15 @@ _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 4
 
 
 def _source(m: geometry.ManifoldModel) -> str:
-    """Python source of `_rhs(grad)` and `_step(rhs)` on manifold model m.
+    """Python source of `_rhs(grad)`, `_step(rhs)` and `_cell` on manifold model m.
 
     `_rhs(grad)` gives y -> -metric^{-1} grad(*y) (tangent-projected off the
     torus) as a tuple, with gradient faults raised as DomainError; y holds
     floats or numpy rows.  `_step(rhs)` gives the Dormand-Prince step
     (y, k1, h) -> (y_new, k7, err), every stage through `rhs`.  Both do the
     floating-point operations of the textbook stage loop in its order, so
-    results are bitwise the loop's."""
+    results are bitwise the loop's.  `_cell(y)` is the capture cell of y:
+    floor(CELLS * y_i) in every coordinate, mod CELLS on the torus."""
     dim = m.ambient_dim
     x = [f"x{i}" for i in range(dim)]
     g = [f"g{i}" for i in range(dim)]
@@ -147,17 +151,22 @@ def _source(m: geometry.ManifoldModel) -> str:
                      f"max(abs(y{i}), abs(n{i})))")
     squares = "".join(f" + r{i} * r{i}" for i in range(dim))
     lines += [f"        return y_new, k7, sqrt((0.0{squares}) / {dim})", "    return step"]
+    # y_i % 1.0 is 1.0 for a tiny negative y_i: the outer mod makes that cell 0
+    cell = "floor({} % 1.0 * {}) % {}" if m.kind == "torus" else "floor({} * {})"
+    cells = ", ".join(cell.format(xi, CELLS, CELLS) for xi in x)
+    lines += ["def _cell(y):", f"    {', '.join(x)}, = y", f"    return ({cells},)"]
     return "\n".join(lines)
 
 
 @functools.cache
 def _compiled(m: geometry.ManifoldModel):
-    """The (_rhs, _step) factories of one manifold model, compiled once; each
-    caller binds its own gradient or RHS, so no field is cached."""
+    """The _rhs and _step factories and the _cell function of one manifold
+    model, compiled once; each caller binds its own gradient or RHS, so no
+    field is cached."""
     namespace = {"EVAL_ERRORS": EVAL_ERRORS, "DomainError": DomainError,
-                 "sqrt": math.sqrt, "max": max, "abs": abs}
+                 "sqrt": math.sqrt, "floor": math.floor, "max": max, "abs": abs}
     exec(_source(m), namespace)
-    return namespace["_rhs"], namespace["_step"]
+    return namespace["_rhs"], namespace["_step"], namespace["_cell"]
 
 
 def make_rhs(field: ScalarField, m: geometry.ManifoldModel):
@@ -216,30 +225,30 @@ def _capture_lookup(m: geometry.ManifoldModel, points: list[CriticalPoint]):
     """y -> id of the first point (in list order) whose capture ball holds y.
 
     Gives what testing every point in turn gives, but measures only the
-    representatives whose first coordinate (mod 1 on the torus) lies within
-    2 * CAPTURE_RADIUS of y's: no point of a ball is farther than its radius
-    from the centre in any one coordinate."""
+    representatives filed under y's cell (`_cell`).  Each representative c
+    is filed under every cell from floor(CELLS * (c_i - 1.5 r)) to
+    floor(CELLS * (c_i + 1.5 r)) in every coordinate i, mod CELLS on the
+    torus: a point of the ball lies within r of c_i in every coordinate,
+    flooring is monotone, and the extra half radius absorbs rounding."""
     torus = m.kind == "torus"
     targets = _capture_targets(m, points)
-    reps = sorted((c[0] % 1.0 if torus else c[0], k, c)
-                  for k, (_, cs) in enumerate(targets) for c in cs)
-    keys = [key for key, _, _ in reps]
-    w = 2.0 * CAPTURE_RADIUS
+    reach = 1.5 * CAPTURE_RADIUS
+    cells: dict = {}
+    for k, (_, cs) in enumerate(targets):
+        for c in cs:
+            spans = [range(math.floor((v - reach) * CELLS), math.floor((v + reach) * CELLS) + 1)
+                     for v in c]
+            for key in itertools.product(*spans):
+                if torus:
+                    key = tuple(j % CELLS for j in key)
+                cells.setdefault(key, []).append((k, c))
+    cell = _compiled(m)[2]
 
     def lookup(y):
-        y0 = y[0] % 1.0 if torus else y[0]
-        windows = [y0]
-        if torus and y0 < w:        # balls across the 0 / 1 seam
-            windows.append(y0 + 1.0)
-        if torus and y0 > 1.0 - w:
-            windows.append(y0 - 1.0)
-        first = None
-        for x in windows:
-            for _, k, c in reps[bisect_left(keys, x - w):bisect_right(keys, x + w)]:
-                if (first is None or k < first) and \
-                        _target_distance(m, y, (c,)) < CAPTURE_RADIUS:
-                    first = k
-        return None if first is None else targets[first][0]
+        for k, c in cells.get(cell(y), ()):
+            if _target_distance(m, y, (c,)) < CAPTURE_RADIUS:
+                return targets[k][0]
+        return None
     return lookup
 
 
@@ -247,8 +256,11 @@ def _capture_lookup(m: geometry.ManifoldModel, points: list[CriticalPoint]):
 
 def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
               t_max: float = T_MAX_DEFAULT, points: list[CriticalPoint] | None = None,
-              source_label: int | None = None) -> Trajectory:
-    """Flow `start` down the negative gradient until capture.
+              source_label: int | None = None, backward: bool = False) -> Trajectory:
+    """Flow `start` down the negative gradient until capture, or up it when
+    `backward`: f's step with h negated, the flow of -f.  Times count up
+    from 0 either way, and the energy is the drop of f (forward) or its
+    rise (backward).
 
     Raises NoConvergenceError (with the partial trajectory attached) when
     t_max elapses before any capture ball claims the endpoint, or when the
@@ -266,6 +278,7 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
     rhs = make_rhs(field, m)
     step = _compiled(m)[1](rhs)
     capture = _capture_lookup(m, points)
+    sign = -1.0 if backward else 1.0
 
     fval = field.value
     traj = Trajectory([0.0], [y], [fval(y)], source_label, None, 0.0)
@@ -288,7 +301,7 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
         steps += 1
         if h < 1e-14 * max(1.0, abs(t)) or steps > max_steps:
             raise StepCollapseError(f"step size collapsed at t={t} after {steps - 1} steps")
-        y_new, k7, err = step(y, k1, h)
+        y_new, k7, err = step(y, k1, sign * h)
         if err <= 1.0:
             t += h
             if m.kind != "torus":
@@ -312,7 +325,7 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
                 dwell_id, dwell = hit, 1
             if dwell >= CAPTURE_DWELL:
                 traj.sink_label = dwell_id
-                traj.energy = traj.f_values[0] - traj.f_values[-1]
+                traj.energy = sign * (traj.f_values[0] - traj.f_values[-1])
                 return traj
             if stalled >= STALL_STEPS:
                 break
@@ -320,7 +333,7 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
         fac = 0.9 * err ** -0.2 if err > 1e-30 else 5.0
         h *= min(5.0, max(0.2, fac))
 
-    traj.energy = traj.f_values[0] - traj.f_values[-1]
+    traj.energy = sign * (traj.f_values[0] - traj.f_values[-1])
     if stalled >= STALL_STEPS:
         raise NoConvergenceError(f"stalled outside every capture ball at t={t}",
                                  trajectory=traj)
@@ -330,11 +343,14 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
 # --- seeds of an index-1 point --------------------------------------------------
 
 def _unstable_direction(field: ScalarField, m: geometry.ManifoldModel,
-                        p: CriticalPoint) -> np.ndarray:
-    """Eigenvector of the one negative Hessian eigenvalue of p, sign fixed."""
-    if p.index != 1:
-        raise SourceIndexError(f"point {p.id} has index {p.index}: seed scans need index 1")
-    w, V = np.linalg.eigh(hessian_in_frame(field, m, p.location))
+                        p: CriticalPoint, backward: bool = False) -> np.ndarray:
+    """Eigenvector of the one negative Hessian eigenvalue of p, sign fixed;
+    when `backward`, of -f's Hessian, the negated Hessian of f."""
+    index = m.n - p.index if backward else p.index
+    if index != 1:
+        raise SourceIndexError(f"point {p.id} has index {index}: seed scans need index 1")
+    H = hessian_in_frame(field, m, p.location)
+    w, V = np.linalg.eigh(-H if backward else H)
     if np.count_nonzero(w < 0.0) != 1:
         raise SourceIndexError(
             f"negative eigenspace dimension {np.count_nonzero(w < 0.0)} != index 1")
@@ -355,24 +371,26 @@ def _seed_states(m: geometry.ManifoldModel, p: CriticalPoint, v: np.ndarray) -> 
     return w / np.linalg.norm(w, axis=1, keepdims=True)
 
 
-def _scan(field, m, p, points, t_max):
-    """The two seed trajectories of index-1 p's unstable sphere.
+def _scan(field, m, p, points, t_max, backward=False):
+    """The two seed trajectories of index-1 p's unstable sphere, or when
+    `backward` of its stable sphere, p being of index n - 1, flowed backward.
 
     A seed that t_max stops before capture keeps its partial trajectory,
     sink None."""
     trajs = []
-    for start in _seed_states(m, p, _unstable_direction(field, m, p)):
+    for start in _seed_states(m, p, _unstable_direction(field, m, p, backward)):
         try:
             trajs.append(integrate(field, m, start, t_max=t_max, points=points,
-                                   source_label=p.id))
+                                   source_label=p.id, backward=backward))
         except NoConvergenceError as exc:
             trajs.append(exc.trajectory)
     return trajs
 
 
-def _source_counts(field, m, p, sinks, points, t_max):
-    """ConnectionCount from index-1 p to each of `sinks`: p's seeds sinking there."""
-    trajs = _scan(field, m, p, points, t_max)
+def _source_counts(field, m, p, sinks, points, t_max, backward=False):
+    """ConnectionCount from index-1 p to each of `sinks`: p's seeds sinking
+    there; when `backward`, flowed backward from p of index n - 1."""
+    trajs = _scan(field, m, p, points, t_max, backward)
     flagged = False
     for traj in trajs:
         if traj.sink_label is None:
@@ -391,11 +409,11 @@ def _source_counts(field, m, p, sinks, points, t_max):
 # --- counting from the index-1 end -------------------------------------------------
 
 def _reversed(traj: Trajectory) -> Trajectory:
-    """A -f trajectory as the f trajectory it runs backwards."""
+    """A backward trajectory as the f trajectory it runs backwards."""
     end = traj.times[-1]
     return Trajectory(times=[end - t for t in reversed(traj.times)],
                       points=traj.points[::-1],
-                      f_values=[-v for v in reversed(traj.f_values)],
+                      f_values=traj.f_values[::-1],
                       source_label=traj.sink_label, sink_label=traj.source_label,
                       energy=traj.energy)
 
@@ -403,9 +421,9 @@ def _reversed(traj: Trajectory) -> Trajectory:
 def _count_pairs(field, m, pairs, points, t_max):
     """ConnectionCount of each (p, q) in `pairs`, counted from an index-1 end.
 
-    Pairs of index (1, 0) are counted from p under f, pairs of index (n, n-1)
-    from q under -f; any other pair has no index-1 end and is refused before
-    anything flows."""
+    Pairs of index (1, 0) are counted from p flowing f forwards, pairs of
+    index (n, n-1) from q flowing f backwards; any other pair has no index-1
+    end and is refused before anything flows."""
     for p, q in pairs:
         if p.index not in (1, m.n):
             raise SourceIndexError(
@@ -423,16 +441,12 @@ def _count_pairs(field, m, pairs, points, t_max):
     for p, sinks in direct.values():
         for c in _source_counts(field, m, p, sinks, points, t_max):
             found[c.source, c.sink] = c
-    if dual:
-        neg = ScalarField(Neg(field.expr), field.dim)
-        flip = {p.id: replace(p, index=m.n - p.index) for p in points}
-        for q, sources in dual.values():
-            for c in _source_counts(neg, m, flip[q.id], [flip[p.id] for p in sources],
-                                    list(flip.values()), t_max):
-                found[c.sink, c.source] = ConnectionCount(
-                    source=c.sink, sink=c.source, count_mod2=c.count_mod2,
-                    raw_count=c.raw_count, flagged=c.flagged,
-                    representatives=[_reversed(traj) for traj in c.representatives])
+    for q, sources in dual.values():
+        for c in _source_counts(field, m, q, sources, points, t_max, backward=True):
+            found[c.sink, c.source] = ConnectionCount(
+                source=c.sink, sink=c.source, count_mod2=c.count_mod2,
+                raw_count=c.raw_count, flagged=c.flagged,
+                representatives=[_reversed(traj) for traj in c.representatives])
     return [found[p.id, q.id] for p, q in pairs]
 
 

@@ -9,9 +9,9 @@ literal that overflows a float is a syntax error, as is nesting or an
 AST deeper than MAX_DEPTH levels.
 
 Differentiation is symbolic on the AST (no dual numbers); evaluation
-is either tree-walking (`eval_expr`) or compiled to a plain Python
-function (`compile_tuple`) for the integrator hot loop, over `math`
-for scalars or numpy for arrays.
+is either tree-walking (`eval_expr`) or compiled once to plain Python
+code (`compile_tuple`) for the integrator hot loop, bound (`bind`) over
+`math` for scalars and over numpy for arrays.
 """
 
 from __future__ import annotations
@@ -502,13 +502,17 @@ def _source(exprs, dim: int) -> str:
     return "\n".join([f"def _f({args}):", *lines, f"    return ({ret},)"])
 
 
-def compile_tuple(exprs, dim: int, env: dict = _MATH_ENV):
-    """Compile expressions to one callable of dim arguments returning a tuple.
+def compile_tuple(exprs, dim: int):
+    """Compile expressions to the code of one function of dim arguments
+    returning a tuple; `bind` makes it callable."""
+    return compile(_source(exprs, dim), "<field>", "exec")
 
-    `env` binds sin, cos, exp, log, sqrt and pi: `math` by default.
-    """
+
+def bind(code, env: dict = _MATH_ENV):
+    """The function of compiled `code` with sin, cos, exp, log, sqrt and pi
+    bound from `env`: `math` by default, numpy for arrays."""
     namespace = dict(env, __builtins__={})
-    exec(_source(exprs, dim), namespace)
+    exec(code, namespace)
     return namespace["_f"]
 
 
@@ -531,20 +535,19 @@ class ScalarField:
             tuple(differentiate(self.partials[i], j + 1) for j in range(dim))
             for i in range(dim)
         )
-        self._value = compile_tuple((expr,), dim)
-        self._grad = compile_tuple(self.partials, dim)
+        self._value = bind(compile_tuple((expr,), dim))
+        grad = compile_tuple(self.partials, dim)
+        self._grad = bind(grad)
         # the same gradient, elementwise over numpy arrays
-        self.array_gradient = compile_tuple(self.partials, dim, _NUMPY_ENV)
-        flat = [self.second[i][j] for i in range(dim) for j in range(dim)]
-        self._hess = compile_tuple(flat, dim)
+        self.array_gradient = bind(grad, _NUMPY_ENV)
+        self._hess_code = compile_tuple([e for row in self.second for e in row], dim)
+        self._hess = bind(self._hess_code)
 
     @cached_property
     def array_hessian(self):
-        """The flat second partials over numpy arrays, compiled on first use:
-        fields that are never swept, such as the -f field of a count, skip it."""
-        n = self.dim
-        return compile_tuple([self.second[i][j] for i in range(n) for j in range(n)],
-                             n, _NUMPY_ENV)
+        """The flat second partials over numpy arrays, bound on first use:
+        fields that are never swept skip it."""
+        return bind(self._hess_code, _NUMPY_ENV)
 
     @classmethod
     def from_text(cls, text: str, dim: int) -> "ScalarField":

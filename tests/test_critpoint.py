@@ -182,3 +182,50 @@ def test_masked_solve_matches_per_row_solves(monkeypatch, manifold, function, gr
     masked = critpoint.find_critical_points(f, m, grid)
     monkeypatch.setattr(critpoint, "_solve_rows", _solve_rows_per_row)
     assert masked == critpoint.find_critical_points(f, m, grid)
+
+
+def _dedupe_restarting(m, xs, residuals):
+    """The reference rule: distances for a block of rows against the found
+    points, taken again from the next row after every found or replaced point."""
+    rep = [0]
+    i = 1
+    while i < len(xs):
+        near = geometry.distance(m, xs[i:i + critpoint.DEDUPE_BLOCK, None],
+                                 xs[rep]) < critpoint.DEDUPE_RADIUS
+        first = np.where(near.any(axis=1), near.argmax(axis=1), -1).tolist()
+        for j, k in enumerate(first, start=i):
+            if k < 0:
+                rep.append(j)
+                break
+            if residuals[j] < residuals[rep[k]]:
+                rep[k] = j
+                break
+        i = j + 1
+    return xs[rep]
+
+
+@pytest.mark.parametrize("manifold,function,grid", [
+    ("torusN:5", "cos(2*pi*x1) + cos(2*pi*x5)", 6),     # 216 points
+    ("torus2", "cos(2*pi*x1)", None),
+    ("sphere2", "x3^2", None),
+    ("torus2", "cos(2*pi*x1) + cos(2*pi*x2) + 0.061803*cos(2*pi*(x1 + x2))", None),
+    ("rp2", "(0.912345*x2^2 + 2.234567*x3^2 - 0.031234*x2*x3)/(x1^2 + x2^2 + x3^2)", None),
+    ("circle", "cos(2*pi*16*x1) + 0.2*sin(2*pi*x1)", 128),
+])
+def test_dedupe_column_updates_match_restarting_blocks(monkeypatch, manifold, function, grid):
+    m = geometry.parse_manifold(manifold)
+    f = ScalarField.from_text(function, m.ambient_dim)
+    pts = critpoint.find_critical_points(f, m, grid)
+    monkeypatch.setattr(critpoint, "_dedupe", _dedupe_restarting)
+    assert pts == critpoint.find_critical_points(f, m, grid)
+
+
+def test_degenerate_points_share_an_index():
+    # the equator of x3^2 is a circle of minima: one zero eigenvalue, whose
+    # sign is rounding noise, and one positive one
+    f = ScalarField.from_text("x3^2", 3)
+    pts = critpoint.find_critical_points(f, geometry.sphere(2))
+    equator = [p for p in pts if not p.nondegenerate]
+    assert len(equator) > 20
+    assert {p.index for p in equator} == {0}
+    assert all(p.nondegenerate and p.index == 2 for p in pts if p not in equator)

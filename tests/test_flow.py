@@ -4,12 +4,13 @@ Golden values: on the double-cosine torus every index gap equals one and
 each of the four source/sink pairs is joined by exactly two flow lines;
 on the height-function sphere the poles differ by index two and counting
 must refuse.  Counts must not depend on a constant rescaling of the flat
-metric.  Pairs of index (2, 1) are counted from the saddle under -f, and
-their representatives are -f trajectories run backwards.
+metric.  Pairs of index (2, 1) are counted by flowing f backwards in time
+from the saddle, and their representatives are those flows reversed.
 """
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from morseflow.errors import (
     SourceIndexError,
     StepCollapseError,
 )
-from morseflow.funcexpr import ScalarField
+from morseflow.funcexpr import Neg, ScalarField
 
 
 @pytest.fixture(scope="module")
@@ -284,13 +285,19 @@ def _points(locations):
 
 
 # balls across the torus seam, overlapping balls (list order decides), and
-# projective points whose two lifts share a first coordinate near 0
+# projective points whose two lifts share a first coordinate near 0, in
+# dimensions 1, 2 and 3
 _LOOKUP_CASES = [
     (geometry.torus(2), _points([(0.0, 0.3), (0.99995, 0.7), (0.5, 0.5), (0.50012, 0.50005),
                                  (0.99993, 0.30002), (0.25, 0.99999), (0.99999, 0.9),
                                  (1e-5, 0.1)])),
     (geometry.projective(2), _points([(0.0, 0.6, 0.8), (3e-5, 0.8, -0.6), (0.6, 0.8, 0.0),
                                       (0.60008, 0.79994, 0.0), (1.0, 0.0, 0.0)])),
+    (geometry.torus(1), _points([(k / 32,) for k in range(1, 29)]
+                                + [(0.99995,), (0.0,), (0.00012,), (1e-5,)])),
+    (geometry.sphere(2), _points([(0.0, 0.0, 1.0), (3e-5, 0.0, math.sqrt(1.0 - 9e-10)),
+                                  (0.6, 0.8, 0.0), (0.60008, 0.79994, 0.0), (0.0, 0.0, -1.0),
+                                  (-1.0, 0.0, 0.0), (0.0, -0.6, 0.8)])),
 ]
 
 
@@ -310,6 +317,17 @@ def test_capture_lookup_matches_every_target_in_turn(case, data):
     y = tuple(float(v) for v in y)
     expected = next((cid for cid, rs in targets
                      if flow._target_distance(m, y, rs) < flow.CAPTURE_RADIUS), None)
+    assert flow._capture_lookup(m, pts)(y) == expected
+
+
+@pytest.mark.parametrize("y", [(-1e-20, 0.3), (-3.0, 0.3), (1.0 - 2 ** -53, 0.3),
+                               (0.99992, 0.29995), (-2e-5, -0.7)])
+def test_capture_lookup_wraps_the_seam(y):
+    # for a tiny negative y, y % 1.0 is 1.0, on the far side of the seam
+    m, pts = _LOOKUP_CASES[0]
+    expected = next((cid for cid, rs in flow._capture_targets(m, pts)
+                     if flow._target_distance(m, y, rs) < flow.CAPTURE_RADIUS), None)
+    assert expected is not None
     assert flow._capture_lookup(m, pts)(y) == expected
 
 
@@ -392,6 +410,38 @@ def test_compiled_step_is_bitwise_the_stage_loop(m, text, start, grid):
     assert traj.sink_label is not None and len(traj.times) > 20
     assert (traj.times, traj.points, traj.f_values) == \
         _reference_integrate(f, m, y, pts)
+
+
+@pytest.mark.parametrize("m,text", [
+    (geometry.torus(2), _TORUS2 + " + 0.061803*cos(2*pi*(x1 + x2))"),
+    (geometry.projective(2), "(1*x2^2 + 2*x3^2) / (x1^2 + x2^2 + x3^2)"),
+    (geometry.sphere(2), "x1^2 + 2*x2^2 + 3*x3^2"),
+])
+def test_backward_flow_is_the_flow_of_minus_f(m, text):
+    # a pair of index (n, n-1) is counted by flowing f backwards from the
+    # saddle's seeds; that is bitwise the flow of an explicit -f field from
+    # the seeds of its Hessian, up to the sign of zeros
+    f = ScalarField.from_text(text, m.ambient_dim)
+    neg = ScalarField(Neg(f.expr), f.dim)
+    pts = critpoint.find_critical_points(f, m)
+    capture = flow._capture_lookup(m, pts)
+    reps = {(c.source, c.sink): [(r.times, r.points, r.f_values) for r in c.representatives]
+            for c in flow.connection_counts(f, m, pts) if pts[c.source].index == m.n}
+    assert sum(map(len, reps.values())) >= 2
+    expected = {pair: [] for pair in reps}
+    for q in pts:
+        if q.index != m.n - 1:
+            continue
+        v = flow._unstable_direction(neg, m, replace(q, index=1))
+        for seed in flow._seed_states(m, q, v):
+            y = tuple(float(u) for u in (seed if m.kind == "torus" else geometry.unit_lift(m, seed)))
+            times, ys, fs = _reference_integrate(neg, m, y, pts)
+            traj = flow.integrate(f, m, seed, points=pts, source_label=q.id, backward=True)
+            assert (traj.times, traj.points, traj.f_values) == (times, ys, [-v for v in fs])
+            assert traj.energy == fs[0] - fs[-1] > 0
+            expected[capture(ys[-1]), q.id].append(
+                ([times[-1] - t for t in reversed(times)], ys[::-1], [-v for v in reversed(fs)]))
+    assert reps == expected
 
 
 @pytest.mark.parametrize("text,dim,m,start,calls,accepted", [
