@@ -58,6 +58,7 @@ RTOL = 1e-9
 ATOL = 1e-12
 CAPTURE_RADIUS = 1e-4
 CELLS = int(0.5 / CAPTURE_RADIUS)   # capture cells per unit length, of side >= 2 radii
+KEY_DIMS = 3                        # coordinates that key a capture cell
 CAPTURE_DWELL = 10
 SEED_EPS = 1e-3
 T_MAX_DEFAULT = 200.0
@@ -106,15 +107,14 @@ _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 4
 
 
 def _source(m: geometry.ManifoldModel) -> str:
-    """Python source of `_rhs(grad)`, `_step(rhs)` and `_cell` on manifold model m.
+    """Python source of `_rhs(grad)` and `_step(rhs)` on manifold model m.
 
     `_rhs(grad)` gives y -> -metric^{-1} grad(*y) (tangent-projected off the
     torus) as a tuple, with gradient faults raised as DomainError; y holds
     floats or numpy rows.  `_step(rhs)` gives the Dormand-Prince step
     (y, k1, h) -> (y_new, k7, err), every stage through `rhs`.  Both do the
     floating-point operations of the textbook stage loop in its order, so
-    results are bitwise the loop's.  `_cell(y)` is the capture cell of y:
-    floor(CELLS * y_i) in every coordinate, mod CELLS on the torus."""
+    results are bitwise the loop's."""
     dim = m.ambient_dim
     x = [f"x{i}" for i in range(dim)]
     g = [f"g{i}" for i in range(dim)]
@@ -151,22 +151,17 @@ def _source(m: geometry.ManifoldModel) -> str:
                      f"max(abs(y{i}), abs(n{i})))")
     squares = "".join(f" + r{i} * r{i}" for i in range(dim))
     lines += [f"        return y_new, k7, sqrt((0.0{squares}) / {dim})", "    return step"]
-    # y_i % 1.0 is 1.0 for a tiny negative y_i: the outer mod makes that cell 0
-    cell = "floor({} % 1.0 * {}) % {}" if m.kind == "torus" else "floor({} * {})"
-    cells = ", ".join(cell.format(xi, CELLS, CELLS) for xi in x)
-    lines += ["def _cell(y):", f"    {', '.join(x)}, = y", f"    return ({cells},)"]
     return "\n".join(lines)
 
 
 @functools.cache
 def _compiled(m: geometry.ManifoldModel):
-    """The _rhs and _step factories and the _cell function of one manifold
-    model, compiled once; each caller binds its own gradient or RHS, so no
-    field is cached."""
+    """The _rhs and _step factories of one manifold model, compiled once;
+    each caller binds its own gradient or RHS, so no field is cached."""
     namespace = {"EVAL_ERRORS": EVAL_ERRORS, "DomainError": DomainError,
-                 "sqrt": math.sqrt, "floor": math.floor, "max": max, "abs": abs}
+                 "sqrt": math.sqrt, "max": max, "abs": abs}
     exec(_source(m), namespace)
-    return namespace["_rhs"], namespace["_step"], namespace["_cell"]
+    return namespace["_rhs"], namespace["_step"]
 
 
 def make_rhs(field: ScalarField, m: geometry.ManifoldModel):
@@ -225,27 +220,40 @@ def _capture_lookup(m: geometry.ManifoldModel, points: list[CriticalPoint]):
     """y -> id of the first point (in list order) whose capture ball holds y.
 
     Gives what testing every point in turn gives, but measures only the
-    representatives filed under y's cell (`_cell`).  Each representative c
-    is filed under every cell from floor(CELLS * (c_i - 1.5 r)) to
-    floor(CELLS * (c_i + 1.5 r)) in every coordinate i, mod CELLS on the
-    torus: a point of the ball lies within r of c_i in every coordinate,
-    flooring is monotone, and the extra half radius absorbs rounding."""
+    representatives filed under y's cell: floor(CELLS * y_i) in each of the
+    first KEY_DIMS coordinates, mod CELLS on the torus.  Each representative
+    c is filed under every cell from floor(CELLS * (c_i - 1.5 r)) to
+    floor(CELLS * (c_i + 1.5 r)) in those coordinates: a point of the ball
+    lies within r of c_i in every coordinate, flooring is monotone, and the
+    extra half radius absorbs rounding.  Keying on at most three coordinates
+    files at most 27 cells per representative in any dimension; the distance
+    test decides the rest.  A non-finite y lies in no ball."""
     torus = m.kind == "torus"
     targets = _capture_targets(m, points)
+    key_dims = min(m.ambient_dim, KEY_DIMS)
     reach = 1.5 * CAPTURE_RADIUS
     cells: dict = {}
     for k, (_, cs) in enumerate(targets):
         for c in cs:
             spans = [range(math.floor((v - reach) * CELLS), math.floor((v + reach) * CELLS) + 1)
-                     for v in c]
+                     for v in c[:key_dims]]
             for key in itertools.product(*spans):
                 if torus:
                     key = tuple(j % CELLS for j in key)
                 cells.setdefault(key, []).append((k, c))
-    cell = _compiled(m)[2]
+
+    def cell(y):
+        # y_i % 1.0 is 1.0 for a tiny negative y_i: the outer mod makes that cell 0
+        if torus:
+            return tuple([math.floor(v % 1.0 * CELLS) % CELLS for v in y[:key_dims]])
+        return tuple([math.floor(v * CELLS) for v in y[:key_dims]])
 
     def lookup(y):
-        for k, c in cells.get(cell(y), ()):
+        try:
+            key = cell(y)
+        except (ValueError, OverflowError):   # floor of a NaN or an infinity
+            return None
+        for k, c in cells.get(key, ()):
             if _target_distance(m, y, (c,)) < CAPTURE_RADIUS:
                 return targets[k][0]
         return None

@@ -324,6 +324,18 @@ def test_non_finite_floats_are_usage_errors(capsys, argv):
     assert "must be finite and positive" in err
 
 
+@pytest.mark.parametrize("argv", [
+    TORUS_ARGS + ["--from", "nan,0.5"],
+    TORUS_ARGS + ["--from", "0.5,-inf"],
+    ["--manifold", "sphere2", "--function", "x3", "--from", "nan,0,1"],
+    ["--manifold", "rp2", "--function", "x1^2 + 2*x2^2", "--from", "0,inf,1"],
+])
+def test_non_finite_start_ends_without_traceback(capsys, argv):
+    code, _, err = run_cli(capsys, ["flow"] + argv + ["--tmax", "1"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
 def test_overflowing_action_refused_without_warning(capsys):
     # 1.7e308 is finite, but the action drop 1.7e308 * 2 overflows
     with warnings.catch_warnings():

@@ -286,7 +286,8 @@ def _points(locations):
 
 # balls across the torus seam, overlapping balls (list order decides), and
 # projective points whose two lifts share a first coordinate near 0, in
-# dimensions 1, 2 and 3
+# dimensions 1, 2 and 3; on the 5-torus, points that share the keyed first
+# three coordinates and differ only in the last two
 _LOOKUP_CASES = [
     (geometry.torus(2), _points([(0.0, 0.3), (0.99995, 0.7), (0.5, 0.5), (0.50012, 0.50005),
                                  (0.99993, 0.30002), (0.25, 0.99999), (0.99999, 0.9),
@@ -298,6 +299,9 @@ _LOOKUP_CASES = [
     (geometry.sphere(2), _points([(0.0, 0.0, 1.0), (3e-5, 0.0, math.sqrt(1.0 - 9e-10)),
                                   (0.6, 0.8, 0.0), (0.60008, 0.79994, 0.0), (0.0, 0.0, -1.0),
                                   (-1.0, 0.0, 0.0), (0.0, -0.6, 0.8)])),
+    (geometry.torus(5), _points([(0.0, 0.5, 0.0, a, b) for a in (0.0, 0.5) for b in (0.0, 0.5)]
+                                + [(0.99995, 0.0, 0.5, 0.99999, 0.3), (0.25,) * 5,
+                                   (0.25, 0.25, 0.25, 0.25, 0.25012), (1e-5, 0.5, 0.0, 0.0, 0.5)])),
 ]
 
 
@@ -329,6 +333,15 @@ def test_capture_lookup_wraps_the_seam(y):
                      if flow._target_distance(m, y, rs) < flow.CAPTURE_RADIUS), None)
     assert expected is not None
     assert flow._capture_lookup(m, pts)(y) == expected
+
+
+@pytest.mark.parametrize("case", range(len(_LOOKUP_CASES)))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_capture_lookup_puts_non_finite_points_in_no_ball(case, bad):
+    m, pts = _LOOKUP_CASES[case]
+    c = flow._capture_targets(m, pts)[0][1][0]
+    for i in range(len(c)):
+        assert flow._capture_lookup(m, pts)(c[:i] + (bad,) + c[i + 1:]) is None
 
 
 def _reference_rhs(grad, m):
