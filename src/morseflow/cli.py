@@ -13,9 +13,11 @@ configuration and are byte-identical for identical config.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+import warnings
 
 from . import floer as floer_mod
 from . import flow as flow_mod
@@ -127,6 +129,8 @@ def _cmd_flow(ns: argparse.Namespace) -> str:
         raise UsageError(f"--from expects comma-separated reals, got {ns.start!r}")
     if len(start) != m.ambient_dim:
         raise UsageError(f"--from needs {m.ambient_dim} coordinates for {m.name}")
+    if not all(map(math.isfinite, start)):
+        raise UsageError(f"--from expects finite coordinates, got {ns.start!r}")
     pts = find_critical_points(field, m, ns.grid)
     try:
         traj = flow_mod.integrate(field, m, start, t_max=ns.tmax, points=pts)
@@ -217,15 +221,11 @@ def _cmd_floer(ns: argparse.Namespace) -> str:
                                        points=run.points)
     hf = floer_mod.hf_ranks(fc)
     t1_ok = fc.mod2_matrices() == run.complex.matrices
-    strip_checks = []
-    for c in run.counts:
-        for traj in c.representatives:
-            w = floer_mod.strip_area_check(field, m, traj, epsilon=ns.epsilon,
-                                           points=run.points)
-            strip_checks.append({
-                "source": w.source, "sink": w.sink, "analytic": w.analytic,
-                "quadrature": w.quadrature, "agrees": w.agrees,
-            })
+    reps = [traj for c in run.counts for traj in c.representatives]
+    strip_checks = [{"source": w.source, "sink": w.sink, "analytic": w.analytic,
+                     "quadrature": w.quadrature, "agrees": w.agrees}
+                    for w in floer_mod.strip_area_check(field, m, reps, epsilon=ns.epsilon,
+                                                        points=run.points)]
     return _json_report({
         "config": _report_config(ns),
         "generators": {str(k): v for k, v in fc.generators.items()},
@@ -268,7 +268,10 @@ _DISPATCH = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process; parse_args
+    leaves it unchanged, so calls of main share it."""
     parser = argparse.ArgumentParser(
         prog="morseflow",
         description="Morse homology from counted gradient flow lines, "
@@ -294,7 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"morseflow: warning: {message}\n"
+
+
 def main(argv=None) -> int:
+    # warnings the filters let through print like errors, without the
+    # source location inside the installed package
+    format_warning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         ns = _parse_args(argv)
         report = _DISPATCH[ns.cmd](ns)
@@ -306,6 +316,8 @@ def main(argv=None) -> int:
     except MorseflowError as exc:
         print(f"morseflow: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = format_warning
     sys.stdout.write(report)
     return 0
 

@@ -16,9 +16,10 @@ area is eps times a line integral along the trajectory, computed by
 Hermite-resampled composite Simpson with straight cap segments joining
 the sampled ends to the exact critical points; since the integrand pairs
 an exact form with the path, only quadrature error - not trajectory
-error - separates the two values.  A trajectory is one numpy pass: two
-weight matrices give every segment's cubic and its derivative at the
-quarter points, and the numpy gradient is evaluated on all nodes at once.
+error - separates the two values.  The strips of a request are one numpy
+pass: the segments of all its trajectories are laid end to end, two weight
+matrices give every segment's cubic and its derivative at the quarter
+points, and the numpy gradient is evaluated on all nodes at once.
 
 Setting T = 1 collapses every entry to its coefficient and reproduces
 the Morse boundary matrix bit for bit.
@@ -93,10 +94,12 @@ class ActionWeight:
         return abs(self.analytic - self.quadrature) <= AREA_RTOL * (1.0 + abs(self.analytic))
 
 
-def _field_value_at(field: ScalarField, m: geometry.ManifoldModel, cp: CriticalPoint) -> float:
+def _lift(m: geometry.ManifoldModel, cp: CriticalPoint) -> np.ndarray:
+    """cp in working coordinates: its chart point on the torus, else its
+    unit-sphere representative."""
     if m.kind == "torus":
-        return field.value(cp.location)
-    return field.value(geometry.unit_lift(m, cp.location))
+        return np.asarray(cp.location, dtype=float)
+    return geometry.unit_lift(m, cp.location)
 
 
 def build_floer_complex(field: ScalarField, m: geometry.ManifoldModel,
@@ -110,7 +113,7 @@ def build_floer_complex(field: ScalarField, m: geometry.ManifoldModel,
     if points is None:
         points = find_critical_points(field, m)
     cx = build_complex(points, counts)  # validates coverage and grading
-    fvals = {p.id: _field_value_at(field, m, p) for p in points}
+    fvals = {p.id: field.value(_lift(m, p)) for p in points}
     spread = epsilon * (max(fvals.values()) - min(fvals.values()))
     if not math.isfinite(spread):
         raise DomainError(f"action drops overflow: epsilon * (max f - min f) = {spread}")
@@ -180,17 +183,14 @@ def arnold_bound(ranks) -> int:
 
 # --- strip area quadrature -----------------------------------------------------
 
-def _nearest_lift(m: geometry.ManifoldModel, cp: CriticalPoint, anchor) -> np.ndarray:
-    """Representative of cp in the covering chart of the raw sample `anchor`."""
+def _nearest_lifts(m: geometry.ManifoldModel, reps: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """Each row of reps (a critical point's lift) moved to the covering chart
+    of the raw sample in the same row of anchors."""
     if m.kind == "torus":
-        c = np.asarray(cp.location)
-        a = np.asarray(anchor)
-        return c + np.round(a - c)
-    u = geometry.unit_lift(m, cp.location)
-    a = np.asarray(anchor)
-    if m.kind == "projective" and float(np.dot(a, u)) < 0.0:
-        return -u
-    return u
+        return reps + np.round(anchors - reps)
+    if m.kind == "projective":
+        return np.where(np.sum(anchors * reps, axis=1, keepdims=True) < 0.0, -reps, reps)
+    return reps
 
 
 # Hermite cubic on the segment data (ya, da, yb, db): its basis functions
@@ -202,64 +202,100 @@ _HERMITE_D = np.array([(6 * s**2 - 6 * s, 3 * s**2 - 4 * s + 1, 6 * s - 6 * s**2
                         3 * s**2 - 2 * s) for s in _S])
 
 
-def strip_area_check(field: ScalarField, m: geometry.ManifoldModel,
-                     traj: Trajectory, epsilon: float = EPSILON_DEFAULT,
-                     points: list[CriticalPoint] | None = None) -> ActionWeight:
-    """Compare quadrature strip area against the analytic action drop.
+def _simpson_sums(field: ScalarField, m: geometry.ManifoldModel,
+                  trajs: list[Trajectory], lifts: dict) -> tuple[list, list]:
+    """Coarse and fine Simpson sums of the line integral of df along each of
+    `trajs` (at least two samples each), all trajectories in one numpy pass.
 
-    The head cap, every sampled segment and the tail cap are Hermite cubics
-    on their end values and velocities; Simpson's rule on their quarter and
-    half nodes gives the fine and coarse areas.  Returns an ActionWeight
-    with both numbers; raises QuadratureFailureError when the Richardson
-    estimate from the two cannot certify the tolerance, and DomainError
-    when the gradient fails at a node or the action drop or area is not
-    finite.
-    """
-    if traj.source_label is None or traj.sink_label is None:
-        raise QuadratureFailureError("trajectory endpoints are unresolved")
-    if points is None:
-        points = find_critical_points(field, m)
-    src = points[traj.source_label]
-    snk = points[traj.sink_label]
-    analytic = float(epsilon * (_field_value_at(field, m, src)
-                                - _field_value_at(field, m, snk)))
-    if not math.isfinite(analytic):
-        raise DomainError(f"action drop epsilon * (f(p) - f(q)) = {analytic} is not finite")
-
-    if len(traj.points) == 1:  # constant trajectory: empty strip
-        return ActionWeight(source=src.id, sink=snk.id, analytic=analytic,
-                            quadrature=0.0, epsilon=epsilon)
-
-    samples = np.array(traj.points, dtype=float)
-    h = np.diff(traj.times)[:, None]
-    # cap segments join the exact critical points to the sampled ends
-    head = _nearest_lift(m, src, samples[0])
-    tail = _nearest_lift(m, snk, samples[-1])
-    d0, d1 = samples[0] - head, tail - samples[-1]
+    Trajectory i owns the run of segments head cap, its sampled segments,
+    tail cap; the caps join lifts[label] of its ends to its first and last
+    samples.  Each trajectory's sums are np.sum over its own run, so they do
+    not depend on the other trajectories of the list."""
+    size = np.array([len(t.points) for t in trajs])
+    last = np.cumsum(size) - 1                 # each trajectory's last sample
+    first = last - size + 1
+    head = first + np.arange(len(trajs))       # segment of each head cap
+    tail = head + size                         # segment of each tail cap
+    samples = np.array([y for t in trajs for y in t.points], dtype=float)
+    times = np.array([s for t in trajs for s in t.times], dtype=float)
+    starts = np.delete(np.arange(len(samples)), last)  # first sample of each sampled segment
+    h = (times[starts + 1] - times[starts])[:, None]
+    heads = _nearest_lifts(m, np.array([lifts[t.source_label] for t in trajs]), samples[first])
+    tails = _nearest_lifts(m, np.array([lifts[t.sink_label] for t in trajs]), samples[last])
+    d0, d1 = samples[first] - heads, tails - samples[last]
+    not_head = np.ones(len(samples) + len(trajs), dtype=bool)
+    not_head[head] = False
+    not_tail = np.ones_like(not_head)
+    not_tail[tail] = False
+    body = not_head & not_tail
+    # (ya, da, yb, db) of every segment
+    ends = np.empty((4, len(not_head), samples.shape[1]))
+    ends[0, head], ends[0, not_head] = heads, samples
+    ends[2, tail], ends[2, not_tail] = tails, samples
+    ends[1, head] = ends[3, head] = d0
+    ends[1, tail] = ends[3, tail] = d1
     try:
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             derivs = array_rhs(field, m)(samples.T).T
-            # (ya, da, yb, db) of the head cap, every sampled segment, the tail cap
-            ends = np.stack([np.vstack([head, samples[:-1], samples[-1]]),
-                             np.vstack([d0, h * derivs[:-1], d1]),
-                             np.vstack([samples[0], samples[1:], tail]),
-                             np.vstack([d0, h * derivs[1:], d1])])
+            ends[1, body] = h * derivs[starts]
+            ends[3, body] = h * derivs[starts + 1]
             u = np.tensordot(_HERMITE, ends, axes=1)     # (node, segment, coordinate)
             du = np.tensordot(_HERMITE_D, ends, axes=1)
             grad = field.array_gradient(*u.T)
             v0, v1, v2, v3, v4 = sum(g * d for g, d in zip(grad, du.T)).T
     except EVAL_ERRORS as exc:
         raise DomainError(f"gradient evaluation failed: {exc}") from exc
-    coarse = np.sum((v0 + 4.0 * v2 + v4) / 6.0)
-    fine = np.sum((v0 + 4.0 * v1 + 2.0 * v2 + 4.0 * v3 + v4) / 12.0)
-    area_coarse = -epsilon * float(coarse)
-    area_fine = -epsilon * float(fine)
-    if not math.isfinite(area_fine):
-        raise DomainError(f"strip area {area_fine} is not finite")
-    est_err = abs(area_fine - area_coarse) / 15.0
-    tol = AREA_RTOL * (1.0 + abs(analytic))
-    if est_err > 0.5 * tol:
-        raise QuadratureFailureError(
-            f"strip quadrature error estimate {est_err:.3e} exceeds budget {0.5 * tol:.3e}")
-    return ActionWeight(source=src.id, sink=snk.id, analytic=analytic,
-                        quadrature=area_fine, epsilon=epsilon)
+    coarse = (v0 + 4.0 * v2 + v4) / 6.0
+    fine = (v0 + 4.0 * v1 + 2.0 * v2 + 4.0 * v3 + v4) / 12.0
+    runs = list(zip(head.tolist(), (tail + 1).tolist()))
+    return [np.sum(coarse[a:b]) for a, b in runs], [np.sum(fine[a:b]) for a, b in runs]
+
+
+def strip_area_check(field: ScalarField, m: geometry.ManifoldModel,
+                     trajs: list[Trajectory], epsilon: float = EPSILON_DEFAULT,
+                     points: list[CriticalPoint] | None = None) -> list[ActionWeight]:
+    """Compare quadrature strip area against the analytic action drop for
+    every trajectory of `trajs`; one ActionWeight per trajectory, in order.
+
+    The head cap, every sampled segment and the tail cap are Hermite cubics
+    on their end values and velocities; Simpson's rule on their quarter and
+    half nodes gives the fine and coarse areas, for the whole list in one
+    numpy pass.  A constant trajectory sweeps an empty strip.  Raises
+    QuadratureFailureError when a trajectory has an unresolved end, and
+    DomainError when an action drop is not finite, both before any
+    quadrature; DomainError when the gradient fails at a node; then, one
+    trajectory at a time, DomainError when the area is not finite and
+    QuadratureFailureError when the Richardson estimate from the two areas
+    cannot certify the tolerance.
+    """
+    if any(t.source_label is None or t.sink_label is None for t in trajs):
+        raise QuadratureFailureError("trajectory endpoints are unresolved")
+    if not trajs:
+        return []
+    if points is None:
+        points = find_critical_points(field, m)
+    lifts = {i: _lift(m, points[i]) for t in trajs for i in (t.source_label, t.sink_label)}
+    f_at = {i: field.value(y) for i, y in lifts.items()}
+    analytic = [float(epsilon * (f_at[t.source_label] - f_at[t.sink_label])) for t in trajs]
+    for a in analytic:
+        if not math.isfinite(a):
+            raise DomainError(f"action drop epsilon * (f(p) - f(q)) = {a} is not finite")
+
+    quadrature = [0.0] * len(trajs)
+    moving = [i for i, t in enumerate(trajs) if len(t.points) > 1]
+    if moving:
+        sums = _simpson_sums(field, m, [trajs[i] for i in moving], lifts)
+        for i, coarse, fine in zip(moving, *sums):
+            area_coarse = -epsilon * float(coarse)
+            area_fine = -epsilon * float(fine)
+            if not math.isfinite(area_fine):
+                raise DomainError(f"strip area {area_fine} is not finite")
+            est_err = abs(area_fine - area_coarse) / 15.0
+            tol = AREA_RTOL * (1.0 + abs(analytic[i]))
+            if est_err > 0.5 * tol:
+                raise QuadratureFailureError(
+                    f"strip quadrature error estimate {est_err:.3e} exceeds budget {0.5 * tol:.3e}")
+            quadrature[i] = area_fine
+    return [ActionWeight(source=points[t.source_label].id, sink=points[t.sink_label].id,
+                         analytic=a, quadrature=q, epsilon=epsilon)
+            for t, a, q in zip(trajs, analytic, quadrature)]

@@ -264,11 +264,14 @@ def _capture_lookup(m: geometry.ManifoldModel, points: list[CriticalPoint]):
 
 def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
               t_max: float = T_MAX_DEFAULT, points: list[CriticalPoint] | None = None,
-              source_label: int | None = None, backward: bool = False) -> Trajectory:
+              source_label: int | None = None, backward: bool = False,
+              capture=None) -> Trajectory:
     """Flow `start` down the negative gradient until capture, or up it when
     `backward`: f's step with h negated, the flow of -f.  Times count up
     from 0 either way, and the energy is the drop of f (forward) or its
-    rise (backward).
+    rise (backward).  `capture` is the `_capture_lookup` of the points,
+    built from `points` when not given; callers that flow many seeds
+    against one point list build it once.
 
     Raises NoConvergenceError (with the partial trajectory attached) when
     t_max elapses before any capture ball claims the endpoint, or when the
@@ -277,15 +280,16 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
     StepCollapseError when the adaptive step underflows or when
     STEPS_PER_TIME * max(t_max, 10) steps do not reach t_max.
     """
-    if points is None:
-        points = find_critical_points(field, m)
+    if capture is None:
+        if points is None:
+            points = find_critical_points(field, m)
+        capture = _capture_lookup(m, points)
     if m.kind == "torus":
         y = tuple(float(v) for v in np.atleast_1d(np.asarray(start, dtype=float)))
     else:
         y = tuple(float(v) for v in geometry.unit_lift(m, start))
     rhs = make_rhs(field, m)
     step = _compiled(m)[1](rhs)
-    capture = _capture_lookup(m, points)
     sign = -1.0 if backward else 1.0
 
     fval = field.value
@@ -379,26 +383,27 @@ def _seed_states(m: geometry.ManifoldModel, p: CriticalPoint, v: np.ndarray) -> 
     return w / np.linalg.norm(w, axis=1, keepdims=True)
 
 
-def _scan(field, m, p, points, t_max, backward=False):
+def _scan(field, m, p, capture, t_max, backward=False):
     """The two seed trajectories of index-1 p's unstable sphere, or when
-    `backward` of its stable sphere, p being of index n - 1, flowed backward.
+    `backward` of its stable sphere, p being of index n - 1, flowed backward,
+    each captured by the lookup `capture`.
 
     A seed that t_max stops before capture keeps its partial trajectory,
     sink None."""
     trajs = []
     for start in _seed_states(m, p, _unstable_direction(field, m, p, backward)):
         try:
-            trajs.append(integrate(field, m, start, t_max=t_max, points=points,
-                                   source_label=p.id, backward=backward))
+            trajs.append(integrate(field, m, start, t_max=t_max, source_label=p.id,
+                                   backward=backward, capture=capture))
         except NoConvergenceError as exc:
             trajs.append(exc.trajectory)
     return trajs
 
 
-def _source_counts(field, m, p, sinks, points, t_max, backward=False):
+def _source_counts(field, m, p, sinks, capture, t_max, backward=False):
     """ConnectionCount from index-1 p to each of `sinks`: p's seeds sinking
     there; when `backward`, flowed backward from p of index n - 1."""
-    trajs = _scan(field, m, p, points, t_max, backward)
+    trajs = _scan(field, m, p, capture, t_max, backward)
     flagged = False
     for traj in trajs:
         if traj.sink_label is None:
@@ -439,6 +444,7 @@ def _count_pairs(field, m, pairs, points, t_max):
                 f"and {m.n - q.index} under -f; counting needs an index-1 source")
     if points is None:
         points = find_critical_points(field, m)
+    capture = _capture_lookup(m, points)
     direct, dual = {}, {}  # index-1 end -> the other ends
     for p, q in pairs:
         if p.index == 1:
@@ -447,10 +453,10 @@ def _count_pairs(field, m, pairs, points, t_max):
             dual.setdefault(q.id, (q, []))[1].append(p)
     found = {}
     for p, sinks in direct.values():
-        for c in _source_counts(field, m, p, sinks, points, t_max):
+        for c in _source_counts(field, m, p, sinks, capture, t_max):
             found[c.source, c.sink] = c
     for q, sources in dual.values():
-        for c in _source_counts(field, m, q, sources, points, t_max, backward=True):
+        for c in _source_counts(field, m, q, sources, capture, t_max, backward=True):
             found[c.sink, c.source] = ConnectionCount(
                 source=c.sink, sink=c.source, count_mod2=c.count_mod2,
                 raw_count=c.raw_count, flagged=c.flagged,

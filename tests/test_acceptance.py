@@ -170,8 +170,8 @@ def test_criterion_07_strip_area_bookkeeping(capsys, torus_bundle):
     worst = 0.0
     for c in run.counts:
         for traj in c.representatives:
-            w = floer.strip_area_check(field, m, traj, epsilon=0.05,
-                                       points=run.points)
+            [w] = floer.strip_area_check(field, m, [traj], epsilon=0.05,
+                                         points=run.points)
             rel = abs(w.quadrature - w.analytic) / (1.0 + abs(w.analytic))
             worst = max(worst, rel)
             ok = ok and rel < 1e-6 and w.agrees

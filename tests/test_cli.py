@@ -2,7 +2,10 @@
 precedence.  Everything drives main(argv) in-process."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -334,6 +337,48 @@ def test_non_finite_start_ends_without_traceback(capsys, argv):
     code, _, err = run_cli(capsys, ["flow"] + argv + ["--tmax", "1"])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    TORUS_ARGS + ["--from", "nan,0.5"],
+    TORUS_ARGS + ["--from", "0.5,inf"],
+    ["--manifold", "sphere2", "--function", "x3", "--from", "nan,0,1"],
+])
+def test_non_finite_start_is_usage_error_before_the_sweep(capsys, monkeypatch, argv):
+    def sweep(*args, **kwargs):
+        raise AssertionError("the critical-point sweep ran")
+    monkeypatch.setattr(cli, "find_critical_points", sweep)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, ["flow"] + argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("morseflow: usage error: --from")
+
+
+def test_resolution_warning_prints_as_a_morseflow_line():
+    # the default warning filters of a fresh process, not the test suite's
+    argv = ["homology", "--manifold", "torus2", "--function",
+            "cos(2*pi*3*x1) + cos(2*pi*x2)", "--grid", "4"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "morseflow.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert any(ln.startswith("morseflow: warning: seed trajectory") for ln in lines)
+    assert all(ln.startswith("morseflow: ") for ln in lines)
+    assert not any("flow.py" in ln for ln in lines)
+
+
+def test_one_parser_serves_every_call_without_leaking_config(capsys, tmp_path):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("grid = 6\n")
+    code, out, _ = run_cli(capsys, ["critpoints"] + TORUS_ARGS + ["--config", str(cfg)])
+    assert code == 0 and json.loads(out.split("\n")[0])["config"]["grid"] == 6
+    code, out, _ = run_cli(capsys, ["critpoints"] + TORUS_ARGS)
+    assert code == 0 and json.loads(out.split("\n")[0])["config"]["grid"] is None
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.main(["--help"]) == 0
+    assert cli.main(["homology", "--help"]) == 0
 
 
 def test_overflowing_action_refused_without_warning(capsys):

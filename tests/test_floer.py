@@ -8,6 +8,7 @@ strip areas from quadrature must match the analytic action drop.
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from morseflow import critpoint, floer, flow, geometry, novikov, pipeline
@@ -101,7 +102,7 @@ def test_strip_area_matches_action_drop(torus_run):
     f, m, run = torus_run
     for c in run.counts:
         for traj in c.representatives:
-            w = floer.strip_area_check(f, m, traj, epsilon=0.05, points=run.points)
+            [w] = floer.strip_area_check(f, m, [traj], epsilon=0.05, points=run.points)
             assert w.agrees
             rel = abs(w.quadrature - w.analytic) / (1.0 + abs(w.analytic))
             assert rel < 1e-6
@@ -111,8 +112,8 @@ def test_strip_area_matches_action_drop(torus_run):
 def test_strip_area_scales_linearly_in_epsilon(torus_run):
     f, m, run = torus_run
     traj = run.counts[0].representatives[0]
-    w1 = floer.strip_area_check(f, m, traj, epsilon=0.05, points=run.points)
-    w2 = floer.strip_area_check(f, m, traj, epsilon=0.10, points=run.points)
+    [w1] = floer.strip_area_check(f, m, [traj], epsilon=0.05, points=run.points)
+    [w2] = floer.strip_area_check(f, m, [traj], epsilon=0.10, points=run.points)
     assert math.isclose(w2.analytic, 2.0 * w1.analytic, rel_tol=1e-12)
     assert math.isclose(w2.quadrature, 2.0 * w1.quadrature, rel_tol=1e-9)
 
@@ -121,7 +122,7 @@ def test_strip_area_constant_trajectory_is_zero(torus_run):
     f, m, run = torus_run
     mx = next(p for p in run.points if p.index == 2)
     traj = flow.integrate(f, m, mx.location, t_max=5.0, points=run.points)
-    w = floer.strip_area_check(f, m, traj, epsilon=0.05, points=run.points)
+    [w] = floer.strip_area_check(f, m, [traj], epsilon=0.05, points=run.points)
     assert w.analytic == 0.0 and w.quadrature == 0.0 and w.agrees
 
 
@@ -131,7 +132,7 @@ def test_strip_area_rejects_unresolved(torus_run):
                            f_values=(1.0, 0.5), source_label=None, sink_label=None,
                            energy=0.5)
     with pytest.raises(QuadratureFailureError):
-        floer.strip_area_check(f, m, traj, epsilon=0.05, points=run.points)
+        floer.strip_area_check(f, m, [traj], epsilon=0.05, points=run.points)
 
 
 def test_epsilon_must_scale_exponents(torus_run):
@@ -156,7 +157,7 @@ def test_strip_area_constant_partials_broadcast():
     pts = critpoint.find_critical_points(f, m)
     top = next(p for p in pts if p.index == 2)
     traj = flow.integrate(f, m, (0.01, 0.0, 1.0), points=pts, source_label=top.id)
-    w = floer.strip_area_check(f, m, traj, epsilon=0.05, points=pts)
+    [w] = floer.strip_area_check(f, m, [traj], epsilon=0.05, points=pts)
     assert w.analytic == pytest.approx(0.1, abs=1e-15)
     assert abs(w.quadrature - 0.1) <= 1e-12
 
@@ -174,7 +175,7 @@ def test_strip_gradient_fault_at_hermite_node_is_domain_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
-            floer.strip_area_check(f, m, traj, epsilon=0.05, points=pts)
+            floer.strip_area_check(f, m, [traj], epsilon=0.05, points=pts)
 
 
 def test_overflowing_action_drop_is_domain_error(circle_run):
@@ -183,7 +184,7 @@ def test_overflowing_action_drop_is_domain_error(circle_run):
         floer.build_floer_complex(f, m, run.counts, epsilon=1.7e308, points=run.points)
     traj = run.counts[0].representatives[0]
     with pytest.raises(DomainError):
-        floer.strip_area_check(f, m, traj, epsilon=1.7e308, points=run.points)
+        floer.strip_area_check(f, m, [traj], epsilon=1.7e308, points=run.points)
 
 
 def test_strip_area_coarse_trajectory_fails_quadrature(torus_run):
@@ -195,4 +196,101 @@ def test_strip_area_coarse_trajectory_fails_quadrature(torus_run):
                            f_values=[0.0, 0.0, 0.0], source_label=top.id,
                            sink_label=bottom.id, energy=0.0)
     with pytest.raises(QuadratureFailureError):
-        floer.strip_area_check(f, m, traj, epsilon=0.05, points=run.points)
+        floer.strip_area_check(f, m, [traj], epsilon=0.05, points=run.points)
+
+
+# --- one pass over every representative ---------------------------------------
+
+def _reference_nearest_lift(m, cp, anchor):
+    if m.kind == "torus":
+        c = np.asarray(cp.location)
+        return c + np.round(np.asarray(anchor) - c)
+    u = geometry.unit_lift(m, cp.location)
+    if m.kind == "projective" and float(np.dot(np.asarray(anchor), u)) < 0.0:
+        return -u
+    return u
+
+
+def _reference_value(f, m, cp):
+    if m.kind == "torus":
+        return f.value(cp.location)
+    return f.value(geometry.unit_lift(m, cp.location))
+
+
+def _reference_strip(f, m, traj, epsilon, points):
+    """One trajectory's strip check on its own: the routine the one-pass
+    strip_area_check must equal bit for bit."""
+    src, snk = points[traj.source_label], points[traj.sink_label]
+    analytic = float(epsilon * (_reference_value(f, m, src) - _reference_value(f, m, snk)))
+    if len(traj.points) == 1:
+        return floer.ActionWeight(src.id, snk.id, analytic, 0.0, epsilon)
+    samples = np.array(traj.points, dtype=float)
+    h = np.diff(traj.times)[:, None]
+    head = _reference_nearest_lift(m, src, samples[0])
+    tail = _reference_nearest_lift(m, snk, samples[-1])
+    d0, d1 = samples[0] - head, tail - samples[-1]
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        derivs = flow.array_rhs(f, m)(samples.T).T
+        ends = np.stack([np.vstack([head, samples[:-1], samples[-1]]),
+                         np.vstack([d0, h * derivs[:-1], d1]),
+                         np.vstack([samples[0], samples[1:], tail]),
+                         np.vstack([d0, h * derivs[1:], d1])])
+        u = np.tensordot(floer._HERMITE, ends, axes=1)
+        du = np.tensordot(floer._HERMITE_D, ends, axes=1)
+        grad = f.array_gradient(*u.T)
+        v0, v1, v2, v3, v4 = sum(g * d for g, d in zip(grad, du.T)).T
+    fine = np.sum((v0 + 4.0 * v1 + 2.0 * v2 + 4.0 * v3 + v4) / 12.0)
+    return floer.ActionWeight(src.id, snk.id, analytic, -epsilon * float(fine), epsilon)
+
+
+def _assert_equals_reference(f, m, trajs, points):
+    got = floer.strip_area_check(f, m, trajs, epsilon=0.05, points=points)
+    want = [_reference_strip(f, m, traj, 0.05, points) for traj in trajs]
+    assert len(got) == len(want)
+    for w, r in zip(got, want):
+        assert (w.source, w.sink) == (r.source, r.sink)
+        assert w.analytic == r.analytic
+        assert w.quadrature == r.quadrature
+        assert w.agrees
+
+
+@pytest.mark.parametrize("text, dim, name, grid", [
+    ("cos(2*pi*x1) + cos(2*pi*x2) + 0.0731*cos(2*pi*(x1 + x2))", 2, "torus2", None),
+    ("(0.800000*x2^2 + 1.920000*x3^2 - 0.016000*x2*x3)/(x1^2 + x2^2 + x3^2)", 3, "rp2", None),
+    *[(f"cos(2*pi*{k}*x1) + 0.2*sin(2*pi*x1)", 1, "circle", 8 * k) for k in (1, 7, 16)],
+])
+def test_strip_pass_equals_reference_on_every_representative(text, dim, name, grid):
+    f = ScalarField.from_text(text, dim)
+    m = geometry.parse_manifold(name)
+    run = pipeline.run_morse(f, m, grid=grid)
+    trajs = [traj for c in run.counts for traj in c.representatives]
+    assert trajs
+    _assert_equals_reference(f, m, trajs, run.points)
+
+
+def test_strip_pass_equals_reference_on_sphere_x3():
+    # x3 has no index-1 point, so its strips come from flows off the top pole,
+    # one of them the constant trajectory at the pole itself
+    f = ScalarField.from_text("x3", 3)
+    m = geometry.sphere(2)
+    pts = critpoint.find_critical_points(f, m)
+    top = next(p for p in pts if p.index == 2)
+    trajs = [flow.integrate(f, m, start, points=pts, source_label=top.id)
+             for start in ((0.01, 0.0, 1.0), top.location, (-0.02, 0.03, 1.0))]
+    assert [len(t.points) == 1 for t in trajs] == [False, True, False]
+    _assert_equals_reference(f, m, trajs, pts)
+
+
+def test_strip_pass_refuses_an_unresolved_second_trajectory(torus_run):
+    f, m, run = torus_run
+    good = run.counts[0].representatives[0]
+    loose = flow.Trajectory(times=[0.0, 1.0], points=[(0.2, 0.2), (0.3, 0.3)],
+                            f_values=[1.0, 0.5], source_label=good.source_label,
+                            sink_label=None, energy=0.5)
+    with pytest.raises(QuadratureFailureError):
+        floer.strip_area_check(f, m, [good, loose], epsilon=0.05, points=run.points)
+
+
+def test_strip_pass_of_no_trajectories_is_empty(torus_run):
+    f, m, run = torus_run
+    assert floer.strip_area_check(f, m, [], epsilon=0.05, points=run.points) == []

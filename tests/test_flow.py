@@ -80,7 +80,7 @@ def test_integrate_sphere_equator_to_south(sphere):
 
 
 def scan(f, m, p, pts):
-    return flow._scan(f, m, p, pts, flow.T_MAX_DEFAULT)
+    return flow._scan(f, m, p, flow._capture_lookup(m, pts), flow.T_MAX_DEFAULT)
 
 
 def test_basin_scan_index1_two_seeds(torus):
@@ -240,7 +240,7 @@ def test_reversed_representatives_run_from_p_to_q(text, dim, m):
             assert (traj.source_label, traj.sink_label) == (c.source, c.sink)
             assert traj.times[0] == 0.0 and np.all(np.diff(traj.times) > 0)
             assert np.all(np.diff(traj.f_values) <= 1e-9)
-            assert floer.strip_area_check(f, m, traj, points=pts).agrees
+            assert floer.strip_area_check(f, m, [traj], points=pts)[0].agrees
 
 
 def test_middle_pair_refused_before_any_flow(monkeypatch):
@@ -500,3 +500,34 @@ def test_stalled_seed_retired_long_before_t_max():
     for exc in stalled:
         assert flow.STALL_STEPS < len(exc.trajectory.times) < 2 * flow.STALL_STEPS
         assert exc.trajectory.times[-1] < 20.0
+
+
+@pytest.mark.parametrize("text, dim, name, grid", [
+    ("cos(2*pi*x1) + cos(2*pi*x2)", 2, "torus2", None),
+    ("cos(2*pi*16*x1) + 0.2*sin(2*pi*x1)", 1, "circle", 128),
+])
+def test_connection_counts_build_one_capture_lookup(monkeypatch, text, dim, name, grid):
+    f = ScalarField.from_text(text, dim)
+    m = geometry.parse_manifold(name)
+    pts = critpoint.find_critical_points(f, m, grid)
+    built = []
+    lookup = flow._capture_lookup
+
+    def counting(*args):
+        built.append(args)
+        return lookup(*args)
+    monkeypatch.setattr(flow, "_capture_lookup", counting)
+    counts = flow.connection_counts(f, m, pts)
+    assert len(built) == 1
+    assert counts and not any(c.flagged for c in counts)
+
+
+def test_integrate_with_a_given_lookup_equals_its_own(torus):
+    f, m, pts = torus
+    lookup = flow._capture_lookup(m, pts)
+    for start in ((0.23, 0.61), (0.5 + flow.SEED_EPS, 0.0)):
+        own = flow.integrate(f, m, start, points=pts)
+        shared = flow.integrate(f, m, start, capture=lookup)
+        assert (shared.times, shared.points, shared.f_values) == \
+            (own.times, own.points, own.f_values)
+        assert shared.sink_label == own.sink_label
