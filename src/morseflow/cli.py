@@ -214,7 +214,7 @@ def _cmd_arnold(ns: argparse.Namespace) -> str:
 def _cmd_floer(ns: argparse.Namespace) -> str:
     base = ns.base or ns.manifold
     if base is None:
-        raise UsageError("floer requires --base (torus2 or circle)")
+        raise UsageError(f"floer requires --base ({geometry.MANIFOLD_NAMES})")
     field, m = _field_on(ns, base)
     run = run_morse(field, m, grid=ns.grid, t_max=ns.tmax)
     fc = floer_mod.build_floer_complex(field, m, run.counts, epsilon=ns.epsilon,
@@ -228,7 +228,7 @@ def _cmd_floer(ns: argparse.Namespace) -> str:
                                                         points=run.points)]
     return _json_report({
         "config": _report_config(ns),
-        "generators": {str(k): v for k, v in fc.generators.items()},
+        "generators": {str(k): v for k, v in fc.morse.generators.items()},
         "f_values": {str(k): v for k, v in sorted(fc.f_values.items())},
         "differential": {str(k): [[novikov.format_novikov(e) for e in row]
                                   for row in rows]
@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "maslov":
             p.add_argument("--loop", help="CSV of loop samples: theta, frame row-major")
         if name == "floer":
-            p.add_argument("--base", help="base manifold: torus2 or circle")
+            p.add_argument("--base", help=f"base manifold: {geometry.MANIFOLD_NAMES}")
     return parser
 
 

@@ -42,15 +42,8 @@ class CriticalPoint:
     id: int = -1             # position in the sorted list, set by the sweep
 
 
-def _ambient_state(m: geometry.ManifoldModel, point) -> np.ndarray:
-    """Working coordinates: torus chart vector, else unit-sphere lift."""
-    if m.kind == "torus":
-        return np.asarray(point, dtype=float)
-    return geometry.unit_lift(m, point)
-
-
 def gradient_residual(field: ScalarField, m: geometry.ManifoldModel, point) -> float:
-    x = _ambient_state(m, point)
+    x = geometry.working_point(m, point)
     g = np.asarray(field.gradient(x))
     if m.kind != "torus":
         g = g - np.dot(g, x) * x
@@ -59,7 +52,7 @@ def gradient_residual(field: ScalarField, m: geometry.ManifoldModel, point) -> f
 
 def hessian_in_frame(field: ScalarField, m: geometry.ManifoldModel, point) -> np.ndarray:
     """Symmetric Hessian matrix in chart / orthonormal tangent frame coordinates."""
-    x = _ambient_state(m, point)
+    x = geometry.working_point(m, point)
     H = np.asarray(field.hessian(x), dtype=float)
     H = 0.5 * (H + H.T)
     if m.kind == "torus":

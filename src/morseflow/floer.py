@@ -5,7 +5,12 @@ Floer generators correspond to Crit(f) and pseudo-holomorphic strips
 project to negative gradient trajectories, so the differential entry
 from p down to q is T^{eps (f(p) - f(q))} exactly when the mod-2 count
 of connecting trajectories is 1.  No Cauchy-Riemann equation is solved:
-the correspondence supplies the strip geometry.
+the correspondence supplies the strip geometry.  build_floer_complex
+therefore lifts the GF(2) Morse complex itself: the generators and
+degrees are its, and each set bit gets its action exponent.  Every path
+from p down to r carries T^{eps (f(p) - f(r))}, so the lift squares to
+zero exactly when the Morse complex does, and hf_ranks checks d^2 = 0
+mod 2 before it takes the ranks over the field with lambda_rank.
 
 strip_area_check validates the exponents: the strip swept by applying
 the fiber-translation Hamiltonian flow phi_t(x, y) = (x, y + t eps df_x)
@@ -22,7 +27,8 @@ matrices give every segment's cubic and its derivative at the quarter
 points, and the numpy gradient is evaluated on all nodes at once.
 
 Setting T = 1 collapses every entry to its coefficient and reproduces
-the Morse boundary matrix bit for bit.
+the Morse boundary matrix bit for bit, unless truncation at C_max dropped
+an entry (mod2_matrices then differs from the Morse matrices).
 """
 
 from __future__ import annotations
@@ -33,10 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, novikov
-from .critpoint import CriticalPoint, find_critical_points
+from .critpoint import CriticalPoint
 from .errors import DomainError, NotAComplexError, QuadratureFailureError
 from .flow import ConnectionCount, Trajectory, array_rhs
-from .gf2chain import GF2Matrix, build_complex
+from .gf2chain import (ChainComplexGF2, GF2Matrix, HomologyRanks, betti_numbers,
+                       build_complex, verify_d_squared)
 from .funcexpr import EVAL_ERRORS, ScalarField
 
 EPSILON_DEFAULT = 0.05
@@ -45,40 +52,17 @@ AREA_RTOL = 1e-6
 
 @dataclass(frozen=True)
 class FloerComplex:
-    top_degree: int
-    generators: dict        # degree -> ordered critical point ids
+    morse: ChainComplexGF2  # the Morse complex it lifts: generators, degrees, bits
     matrices: dict          # degree k -> list of rows of NovikovElement
     f_values: dict          # id -> f at the critical point
     epsilon: float
     cmax: float
 
-    def dim(self, k: int) -> int:
-        return len(self.generators.get(k, []))
-
     def mod2_matrices(self) -> dict:
         """T = 1 reduction: every nonzero entry becomes a set bit."""
-        out = {}
-        for k, rows in self.matrices.items():
-            nrows = len(rows)
-            ncols = len(rows[0]) if rows else self.dim(k)
-            columns = []
-            for j in range(ncols):
-                col = 0
-                for i in range(nrows):
-                    if not rows[i][j].is_zero:
-                        col |= 1 << i
-                columns.append(col)
-            out[k] = GF2Matrix(rows=nrows, cols=ncols, columns=tuple(columns))
-        return out
-
-
-@dataclass(frozen=True)
-class HFRanks:
-    by_degree: tuple
-
-    @property
-    def total(self) -> int:
-        return sum(self.by_degree)
+        return {k: GF2Matrix.from_rows([[not e.is_zero for e in row] for row in rows],
+                                       len(self.morse.generators[k]))
+                for k, rows in self.matrices.items()}
 
 
 @dataclass(frozen=True)
@@ -94,91 +78,45 @@ class ActionWeight:
         return abs(self.analytic - self.quadrature) <= AREA_RTOL * (1.0 + abs(self.analytic))
 
 
-def _lift(m: geometry.ManifoldModel, cp: CriticalPoint) -> np.ndarray:
-    """cp in working coordinates: its chart point on the torus, else its
-    unit-sphere representative."""
-    if m.kind == "torus":
-        return np.asarray(cp.location, dtype=float)
-    return geometry.unit_lift(m, cp.location)
-
-
 def build_floer_complex(field: ScalarField, m: geometry.ManifoldModel,
                         counts: list[ConnectionCount], epsilon: float = EPSILON_DEFAULT,
-                        cmax: float = novikov.CMAX_DEFAULT,
-                        points: list[CriticalPoint] | None = None) -> FloerComplex:
-    """Assemble the Floer differential from mod-2 counts and action drops.
+                        cmax: float = novikov.CMAX_DEFAULT, *,
+                        points: list[CriticalPoint]) -> FloerComplex:
+    """Lift the Morse complex of `points` and `counts` (the ids of both index
+    `points`): each set bit from p down to q becomes T^{epsilon (f(p) - f(q))}.
 
     Raises DomainError when epsilon * (max f - min f) over the critical
     points is not finite: some action drop would overflow."""
-    if points is None:
-        points = find_critical_points(field, m)
-    cx = build_complex(points, counts)  # validates coverage and grading
-    fvals = {p.id: field.value(_lift(m, p)) for p in points}
+    morse = build_complex(points, counts)  # validates coverage and grading
+    fvals = {p.id: field.value(geometry.working_point(m, p.location)) for p in points}
     spread = epsilon * (max(fvals.values()) - min(fvals.values()))
     if not math.isfinite(spread):
         raise DomainError(f"action drops overflow: epsilon * (max f - min f) = {spread}")
-    mod2 = {(c.source, c.sink): c.count_mod2 % 2 for c in counts}
-
-    matrices = {}
-    for k in range(1, cx.top_degree + 1):
-        rows_ids = cx.generators[k - 1]
-        cols_ids = cx.generators[k]
-        rows = []
-        for qid in rows_ids:
-            row = []
-            for pid in cols_ids:
-                if mod2.get((pid, qid), 0):
-                    drop = epsilon * (fvals[pid] - fvals[qid])
-                    row.append(novikov.NovikovElement.term(drop, cmax))
-                else:
-                    row.append(novikov.NovikovElement.zero(cmax))
-            rows.append(row)
-        matrices[k] = rows
-    return FloerComplex(top_degree=cx.top_degree, generators=cx.generators,
-                        matrices=matrices, f_values=fvals, epsilon=epsilon, cmax=cmax)
+    gens = morse.generators
+    matrices = {k: [[novikov.NovikovElement.term(epsilon * (fvals[p] - fvals[q]), cmax)
+                     if d.entry(i, j) else novikov.NovikovElement.zero(cmax)
+                     for j, p in enumerate(gens[k])]
+                    for i, q in enumerate(gens[k - 1])]
+                for k, d in morse.matrices.items()}
+    return FloerComplex(morse=morse, matrices=matrices, f_values=fvals,
+                        epsilon=epsilon, cmax=cmax)
 
 
-def verify_floer_d_squared(fc: FloerComplex) -> bool:
-    """Check the Novikov-coefficient boundary squares to zero."""
-    for k in range(2, fc.top_degree + 1):
-        lower = fc.matrices.get(k - 1)
-        upper = fc.matrices.get(k)
-        if not lower or not upper:
-            continue
-        nr = len(lower)
-        nm = len(upper)
-        nc = len(upper[0]) if upper else 0
-        for i in range(nr):
-            for j in range(nc):
-                acc = novikov.NovikovElement.zero(fc.cmax)
-                for s in range(nm):
-                    a = lower[i][s]
-                    b = upper[s][j]
-                    if not a.is_zero and not b.is_zero:
-                        acc = novikov.add(acc, novikov.mul(a, b))
-                if not acc.is_zero:
-                    return False
-    return True
+def hf_ranks(fc: FloerComplex) -> HomologyRanks:
+    """Per-degree ranks of HF over the Novikov field via lambda_rank.
 
-
-def hf_ranks(fc: FloerComplex) -> HFRanks:
-    """Per-degree ranks of HF over the Novikov field via lambda_rank."""
-    if not verify_floer_d_squared(fc):
+    Every path from p down to r has exponent epsilon (f(p) - f(r)), so the
+    differential squares to zero over the field exactly when the Morse
+    complex it lifts does mod 2; refuses (NotAComplexError) when it does not."""
+    if not verify_d_squared(fc.morse):
         raise NotAComplexError("Floer differential does not square to zero")
-    ranks = {k: novikov.lambda_rank(rows) if rows and rows[0] else 0
-             for k, rows in fc.matrices.items()}
-    out = []
-    for k in range(fc.top_degree + 1):
-        nk = fc.dim(k)
-        out.append(nk - ranks.get(k, 0) - ranks.get(k + 1, 0))
-    return HFRanks(by_degree=tuple(out))
+    return betti_numbers(fc.morse, {k: novikov.lambda_rank(rows)
+                                    for k, rows in fc.matrices.items()})
 
 
-def arnold_bound(ranks) -> int:
+def arnold_bound(ranks: HomologyRanks) -> int:
     """Sum of homology ranks: the lower bound for Hamiltonian fixed points."""
-    if hasattr(ranks, "by_degree"):
-        return int(sum(ranks.by_degree))
-    return int(sum(ranks))
+    return ranks.total
 
 
 # --- strip area quadrature -----------------------------------------------------
@@ -252,8 +190,8 @@ def _simpson_sums(field: ScalarField, m: geometry.ManifoldModel,
 
 
 def strip_area_check(field: ScalarField, m: geometry.ManifoldModel,
-                     trajs: list[Trajectory], epsilon: float = EPSILON_DEFAULT,
-                     points: list[CriticalPoint] | None = None) -> list[ActionWeight]:
+                     trajs: list[Trajectory], epsilon: float = EPSILON_DEFAULT, *,
+                     points: list[CriticalPoint]) -> list[ActionWeight]:
     """Compare quadrature strip area against the analytic action drop for
     every trajectory of `trajs`; one ActionWeight per trajectory, in order.
 
@@ -266,15 +204,15 @@ def strip_area_check(field: ScalarField, m: geometry.ManifoldModel,
     quadrature; DomainError when the gradient fails at a node; then, one
     trajectory at a time, DomainError when the area is not finite and
     QuadratureFailureError when the Richardson estimate from the two areas
-    cannot certify the tolerance.
+    cannot certify the tolerance.  The trajectories' labels index `points`,
+    the point list of the sweep that counted them.
     """
     if any(t.source_label is None or t.sink_label is None for t in trajs):
         raise QuadratureFailureError("trajectory endpoints are unresolved")
     if not trajs:
         return []
-    if points is None:
-        points = find_critical_points(field, m)
-    lifts = {i: _lift(m, points[i]) for t in trajs for i in (t.source_label, t.sink_label)}
+    lifts = {i: geometry.working_point(m, points[i].location)
+             for t in trajs for i in (t.source_label, t.sink_label)}
     f_at = {i: field.value(y) for i, y in lifts.items()}
     analytic = [float(epsilon * (f_at[t.source_label] - f_at[t.sink_label])) for t in trajs]
     for a in analytic:

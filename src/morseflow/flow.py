@@ -43,7 +43,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import geometry
-from .critpoint import CriticalPoint, find_critical_points, hessian_in_frame
+from .critpoint import CriticalPoint, hessian_in_frame
 from .errors import (
     DomainError,
     IndexGapError,
@@ -269,9 +269,9 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
     """Flow `start` down the negative gradient until capture, or up it when
     `backward`: f's step with h negated, the flow of -f.  Times count up
     from 0 either way, and the energy is the drop of f (forward) or its
-    rise (backward).  `capture` is the `_capture_lookup` of the points,
-    built from `points` when not given; callers that flow many seeds
-    against one point list build it once.
+    rise (backward).  Pass the critical `points` of the field, or their
+    `_capture_lookup` as `capture`; callers that flow many seeds against
+    one point list build it once.
 
     Raises NoConvergenceError (with the partial trajectory attached) when
     t_max elapses before any capture ball claims the endpoint, or when the
@@ -281,8 +281,6 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
     STEPS_PER_TIME * max(t_max, 10) steps do not reach t_max.
     """
     if capture is None:
-        if points is None:
-            points = find_critical_points(field, m)
         capture = _capture_lookup(m, points)
     if m.kind == "torus":
         y = tuple(float(v) for v in np.atleast_1d(np.asarray(start, dtype=float)))
@@ -442,8 +440,6 @@ def _count_pairs(field, m, pairs, points, t_max):
             raise SourceIndexError(
                 f"pair {p.id} -> {q.id} on {m.name} has source index {p.index} under f "
                 f"and {m.n - q.index} under -f; counting needs an index-1 source")
-    if points is None:
-        points = find_critical_points(field, m)
     capture = _capture_lookup(m, points)
     direct, dual = {}, {}  # index-1 end -> the other ends
     for p, q in pairs:
@@ -465,8 +461,7 @@ def _count_pairs(field, m, pairs, points, t_max):
 
 
 def count_connecting(field: ScalarField, m: geometry.ManifoldModel,
-                     p: CriticalPoint, q: CriticalPoint,
-                     points: list[CriticalPoint] | None = None,
+                     p: CriticalPoint, q: CriticalPoint, points: list[CriticalPoint],
                      t_max: float = T_MAX_DEFAULT) -> ConnectionCount:
     """Mod-2 count of negative gradient trajectories from p down to q."""
     if p.index - q.index != 1:

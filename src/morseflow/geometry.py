@@ -113,7 +113,11 @@ def canonicalize(m: ManifoldModel, point) -> np.ndarray:
         q[np.abs(q) < _WRAP_SNAP] = 0.0
         return q
     if m.kind == "sphere":
-        r = np.linalg.norm(p)
+        with np.errstate(over="ignore"):
+            r = np.linalg.norm(p)
+        if r == np.inf:  # the squares overflow: scale by the largest entry first
+            p = p / np.max(np.abs(p))
+            r = np.linalg.norm(p)
         if r < 1e-12:
             raise DegeneratePointError("cannot normalize a vanishing vector")
         return p / r
@@ -132,6 +136,14 @@ def unit_lift(m: ManifoldModel, point) -> np.ndarray:
     if m.kind == "sphere":
         return p
     return p / np.linalg.norm(p)
+
+
+def working_point(m: ManifoldModel, point) -> np.ndarray:
+    """A point in working coordinates: its chart vector on the torus, else
+    its unit-sphere representative."""
+    if m.kind == "torus":
+        return np.asarray(point, dtype=float)
+    return unit_lift(m, point)
 
 
 def distance(m: ManifoldModel, a, b):

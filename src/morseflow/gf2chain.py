@@ -21,6 +21,12 @@ class GF2Matrix:
     cols: int
     columns: tuple  # one int bitset per column
 
+    @classmethod
+    def from_rows(cls, rows: list, cols: int) -> "GF2Matrix":
+        """The matrix whose entry (i, j) is set when rows[i][j] is truthy."""
+        return cls(rows=len(rows), cols=cols, columns=tuple(
+            sum(1 << i for i, row in enumerate(rows) if row[j]) for j in range(cols)))
+
     def entry(self, i: int, j: int) -> int:
         return (self.columns[j] >> i) & 1
 
@@ -98,21 +104,13 @@ def build_complex(points: list[CriticalPoint],
     gens = {k: [p.id for p in points if p.index == k] for k in range(top + 1)}
     matrices = {}
     for k in range(1, top + 1):
-        rows_ids = gens[k - 1]
-        cols_ids = gens[k]
-        row_of = {pid: i for i, pid in enumerate(rows_ids)}
-        columns = []
-        for pid in cols_ids:
-            col = 0
-            for qid in rows_ids:
+        for pid in gens[k]:
+            for qid in gens[k - 1]:
                 if (pid, qid) not in table:
                     raise MissingPairError(
                         f"no connection count for pair ({pid} -> {qid})")
-                if table[(pid, qid)]:
-                    col |= 1 << row_of[qid]
-            columns.append(col)
-        matrices[k] = GF2Matrix(rows=len(rows_ids), cols=len(cols_ids),
-                                columns=tuple(columns))
+        matrices[k] = GF2Matrix.from_rows([[table[(pid, qid)] for pid in gens[k]]
+                                           for qid in gens[k - 1]], len(gens[k]))
     return ChainComplexGF2(top_degree=top, generators=gens, matrices=matrices)
 
 
@@ -132,14 +130,13 @@ def homology_ranks(cx: ChainComplexGF2) -> HomologyRanks:
     """Mod-2 Betti numbers b_k = dim ker d_k - rank d_{k+1}."""
     if not verify_d_squared(cx):
         raise NotAComplexError("boundary matrices do not square to zero")
-    ranks = {k: mat.rank() for k, mat in cx.matrices.items()}
-    out = []
-    for k in range(cx.top_degree + 1):
-        nk = cx.dim(k)
-        rk = ranks.get(k, 0)       # rank of d_k out of degree k
-        rk1 = ranks.get(k + 1, 0)  # rank of d_{k+1} into degree k
-        out.append(nk - rk - rk1)
-    return HomologyRanks(by_degree=tuple(out))
+    return betti_numbers(cx, {k: mat.rank() for k, mat in cx.matrices.items()})
+
+
+def betti_numbers(cx: ChainComplexGF2, ranks: dict) -> HomologyRanks:
+    """b_k = dim C_k - rank d_k - rank d_{k+1}, from the rank of each d_k."""
+    return HomologyRanks(by_degree=tuple(cx.dim(k) - ranks.get(k, 0) - ranks.get(k + 1, 0)
+                                         for k in range(cx.top_degree + 1)))
 
 
 @dataclass(frozen=True)

@@ -210,6 +210,18 @@ def test_flow_csv_shape(capsys):
     assert float(last[3]) < -0.999  # ends near the south pole
 
 
+def test_flow_start_with_overflowing_norm(capsys):
+    # the squares of 1e308 overflow; the start is still the point (1, 0, 0),
+    # the same flow as from (1, 0, 0) itself
+    _, want, _ = run_cli(capsys, ["flow", "--manifold", "sphere2", "--function", "x3",
+                                  "--from", "1,0,0"])
+    for start in ("1e308,0,0", "1.7976931348623157e308,0,0"):
+        code, out, err = run_cli(capsys, ["flow", "--manifold", "sphere2", "--function", "x3",
+                                          "--from", start])
+        assert code == 0 and err == ""
+        assert out.split("\n")[1:] == want.split("\n")[1:]
+
+
 def test_flow_bad_start_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, ["flow", "--manifold", "sphere2",
                                   "--function", "x3", "--from", "1,0"])
@@ -245,6 +257,26 @@ def test_floer_circle(capsys):
     assert d["total_rank"] == 2
     assert d["t1_matches_morse"] is True
     assert all(s["agrees"] for s in d["strip_checks"])
+
+
+@pytest.mark.parametrize("base, function, hf, nonzero_d2", [
+    ("sphere2", "x3 + 0.6*x1^2 - 0.3*x3^2 + 0.8*x1^2*x3", [1, 0, 1], 2),
+    ("rp2", "(x2^2+2*x3^2)/(x1^2+x2^2+x3^2)", [1, 1, 1], 0),
+])
+def test_floer_on_sphere_and_projective_bases(capsys, base, function, hf, nonzero_d2):
+    code, out, _ = run_cli(capsys, ["floer", "--base", base, "--function", function])
+    assert code == 0
+    d = json.loads(out)
+    assert d["hf_ranks"] == hf
+    assert sum(e != "0" for row in d["differential"]["2"] for e in row) == nonzero_d2
+    assert d["t1_matches_morse"] is True
+    assert d["strip_checks"] and all(s["agrees"] for s in d["strip_checks"])
+
+
+def test_floer_without_base_names_every_manifold(capsys):
+    code, _, err = run_cli(capsys, ["floer", "--function", "cos(2*pi*x1)"])
+    assert code == 2
+    assert geometry.MANIFOLD_NAMES in err
 
 
 def test_config_file_and_flag_precedence(capsys, tmp_path):

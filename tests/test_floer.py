@@ -11,10 +11,9 @@ import warnings
 import numpy as np
 import pytest
 
-from morseflow import critpoint, floer, flow, geometry, novikov, pipeline
+from morseflow import critpoint, floer, flow, geometry, gf2chain, novikov, pipeline
 from morseflow.errors import DomainError, NotAComplexError, QuadratureFailureError
 from morseflow.funcexpr import ScalarField
-from morseflow.novikov import NovikovElement
 
 
 @pytest.fixture(scope="module")
@@ -31,11 +30,26 @@ def circle_run():
     return f, m, pipeline.run_morse(f, m)
 
 
-def test_torus_hf_ranks(torus_run):
-    f, m, run = torus_run
-    fc = floer.build_floer_complex(f, m, run.counts, epsilon=0.05, points=run.points)
-    assert floer.verify_floer_d_squared(fc)
+def _synthetic_floer(text, name, cells, raw_counts, epsilon):
+    """build_floer_complex on critical points at `cells` (location, index),
+    id = position, and the raw counts {(source, sink): n} of every pair."""
+    m = geometry.parse_manifold(name)
+    f = ScalarField.from_text(text, m.ambient_dim)
+    pts = [critpoint.CriticalPoint(location=loc, index=k, eigenvalues=(), residual=0.0,
+                                   nondegenerate=True, id=i) for i, (loc, k) in enumerate(cells)]
+    counts = [flow.ConnectionCount(source=p, sink=q, count_mod2=n % 2, raw_count=n)
+              for (p, q), n in raw_counts.items()]
+    return floer.build_floer_complex(f, m, counts, epsilon=epsilon, points=pts)
+
+
+def test_torus_hf_ranks():
+    # the four critical points of cos + cos, every count even
+    fc = _synthetic_floer("cos(2*pi*x1) + cos(2*pi*x2)", "torus2",
+                          [((0.5, 0.5), 0), ((0.0, 0.5), 1), ((0.5, 0.0), 1), ((0.0, 0.0), 2)],
+                          {(1, 0): 2, (2, 0): 2, (3, 1): 2, (3, 2): 2}, epsilon=0.05)
+    assert gf2chain.verify_d_squared(fc.morse)
     hf = floer.hf_ranks(fc)
+    assert isinstance(hf, gf2chain.HomologyRanks)
     assert hf.by_degree == (1, 2, 1)
     assert hf.total == 4
     assert floer.arnold_bound(hf) == 4
@@ -76,24 +90,32 @@ def test_entries_carry_action_exponent():
 
 
 def test_hf_ranks_with_nonzero_differential():
-    # hand-built acyclic pair: one generator each in degrees 0 and 1 with
-    # differential T^0.3 kills both ranks
-    fc = floer.FloerComplex(
-        top_degree=1, generators={0: [0], 1: [1]},
-        matrices={1: [[NovikovElement.term(0.3)]]},
-        f_values={0: 0.0, 1: 6.0}, epsilon=0.05, cmax=32.0)
+    # acyclic pair: one generator each in degrees 0 and 1 with differential
+    # T^0.3 (f = 0 and 6, epsilon 0.05) kills both ranks
+    fc = _synthetic_floer("12*x1", "circle", [((0.0,), 0), ((0.5,), 1)], {(1, 0): 1},
+                          epsilon=0.05)
+    assert fc.matrices[1][0][0].exponents == (0.05 * 6.0,)
     hf = floer.hf_ranks(fc)
     assert hf.by_degree == (0, 0)
     assert hf.total == 0
 
 
 def test_dsquared_violation_raises():
-    one = NovikovElement.one()
-    fc = floer.FloerComplex(
-        top_degree=2, generators={0: [0], 1: [1], 2: [2]},
-        matrices={1: [[one]], 2: [[one]]},
-        f_values={0: 0.0, 1: 1.0, 2: 2.0}, epsilon=0.05, cmax=32.0)
-    assert not floer.verify_floer_d_squared(fc)
+    fc = _synthetic_floer("x1", "torus2", [((0.0, 0.0), 0), ((0.5, 0.0), 1), ((0.9, 0.0), 2)],
+                          {(1, 0): 1, (2, 1): 1}, epsilon=0.05)
+    assert not gf2chain.verify_d_squared(fc.morse)
+    with pytest.raises(NotAComplexError):
+        floer.hf_ranks(fc)
+
+
+def test_dsquared_violation_beyond_truncation_raises():
+    # the path 2 -> 1 -> 0 carries T^20 * T^25 = T^45, at or above C_max = 32,
+    # so the truncated Novikov product is zero; d^2 = 1 mod 2 all the same
+    fc = _synthetic_floer("1000*x1", "torus2",
+                          [((0.0, 0.0), 0), ((0.5, 0.0), 1), ((0.9, 0.0), 2)],
+                          {(1, 0): 1, (2, 1): 1}, epsilon=0.05)
+    assert [e.exponents for k in (1, 2) for e in fc.matrices[k][0]] == [(25.0,), (20.0,)]
+    assert novikov.mul(fc.matrices[1][0][0], fc.matrices[2][0][0]).is_zero
     with pytest.raises(NotAComplexError):
         floer.hf_ranks(fc)
 

@@ -6,6 +6,7 @@ error); flagged counts (ResolutionWarning) are expected at short --tmax."""
 
 import contextlib
 import io
+import math
 import warnings
 
 import numpy as np
@@ -24,6 +25,10 @@ FIELDS = (
     ("torus2", "cos(2*pi*x1)"),
     ("torus2", "cos(2*pi*x1)+cos(2*pi*x2)+0.1*sqrt(sin(2*pi*(x1-1/32))^2)"),
     ("torus2", "x1"),
+    # probes of counts that are not Morse-Smale: flagged at --grid 6, and a
+    # saddle connection along x2 = 1/2
+    ("torus2", "sin(2*pi*x1) + 0.5*sin(2*pi*5*x2) + 0.2*cos(2*pi*(3*x1-x2))"),
+    ("torus2", "(2+cos(2*pi*x2))*cos(2*pi*x1)"),
     ("circle", "cos(2*pi*x1) + 0.3*sin(2*pi*x1)"),
     ("circle", "cos(2*pi*3*x1)"),
     ("circle", "log(cos(2*pi*x1))"),
@@ -52,6 +57,10 @@ BROKEN = ([],) * 20 + (["--tmax", "0"], ["--epsilon", "nan"], ["--grid", "1"],
                        ["--out", "csv"], ["--out", "xml"], ["--scan", "64"],
                        ["--config", "missing.cfg"], ["--manifold"], ["--bogus"])
 
+
+# --from coordinates beyond [-1, 1]: non-finite, and large enough that their
+# squares overflow
+EXTREME = (math.nan, math.inf, -math.inf, 1e308, -1e308, 1.7976931348623157e308)
 
 LOOPS = ("half_turn.csv", "broken.csv", "missing.csv")
 
@@ -83,7 +92,8 @@ def command_lines(draw):
     if cmd == "flow":
         # mostly as many coordinates as the manifold's fields have variables
         size = draw(st.sampled_from((DIMS.get(manifold, 2),) * 3 + (1, 4)))
-        coords = draw(st.lists(st.floats(-1.0, 1.0).map(repr), min_size=size, max_size=size))
+        coord = st.one_of(st.floats(-1.0, 1.0), st.sampled_from(EXTREME)).map(repr)
+        coords = draw(st.lists(coord, min_size=size, max_size=size))
         argv += ["--from", ",".join(coords)]
     if cmd == "maslov":
         argv += ["--loop", draw(st.sampled_from(LOOPS))]

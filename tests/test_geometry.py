@@ -43,6 +43,14 @@ def test_sphere_canonicalize_normalizes():
         geometry.canonicalize(m, (0.0, 0.0, 0.0))
 
 
+def test_sphere_canonicalize_survives_overflowing_squares():
+    # 3e200^2 overflows; the direction is still (0.6, 0, 0.8), with no warning
+    m = geometry.sphere(2)
+    p = geometry.canonicalize(m, (3e200, 0.0, 4e200))
+    assert np.allclose(p, (0.6, 0.0, 0.8))
+    assert geometry.canonicalize(m, (1e308, 0.0, 0.0)).tolist() == [1.0, 0.0, 0.0]
+
+
 def test_projective_canonical_pivot_is_one():
     m = geometry.projective(2)
     rng = np.random.default_rng(3)
