@@ -131,6 +131,9 @@ def _cmd_flow(ns: argparse.Namespace) -> str:
         raise UsageError(f"--from needs {m.ambient_dim} coordinates for {m.name}")
     if not all(map(math.isfinite, start)):
         raise UsageError(f"--from expects finite coordinates, got {ns.start!r}")
+    if m.kind == "torus":
+        # a tiny negative v % 1.0 is 1.0; the second mod makes it 0
+        start = tuple(v % 1.0 % 1.0 for v in start)
     pts = find_critical_points(field, m, ns.grid)
     try:
         traj = flow_mod.integrate(field, m, start, t_max=ns.tmax, points=pts)

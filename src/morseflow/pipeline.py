@@ -61,8 +61,9 @@ def run_morse(field: ScalarField, m: geometry.ManifoldModel,
     """Critical points, connection counts, complex, ranks, inequalities.
 
     Refuses (DomainError) critical points no Morse function on m has: an
-    Euler characteristic other than m's, or no minimum or no maximum; and
-    ranks with b0 or bn other than 1, which no closed connected m has.
+    Euler characteristic other than m's, or no minimum or no maximum; ranks
+    with b0 or bn other than 1, which no closed connected m has; and ranks
+    built on a flagged count, which is not a count of flow lines.
     """
     validate_field(field, m)
     if points is None:
@@ -77,11 +78,14 @@ def run_morse(field: ScalarField, m: geometry.ManifoldModel,
     cx = gf2chain.build_complex(points, counts)
     ranks = gf2chain.homology_ranks(cx)
     b = ranks.by_degree
+    flagged = sum(c.flagged for c in counts)
     if b[0] != 1 or b[m.n] != 1:
-        flagged = sum(c.flagged for c in counts)
         raise DomainError(f"ranks {list(b)} have b0 = {b[0]} and b{m.n} = {b[m.n]}, but "
                           f"{m.name} is closed and connected (both 1); {flagged} of "
                           f"{len(counts)} counts are flagged: points or connections were missed")
+    if flagged:
+        raise DomainError(f"{flagged} of {len(counts)} counts are flagged: a seed trajectory "
+                          "was not captured, so points were missed or t_max is too short")
     report = gf2chain.morse_inequalities(cx, ranks)
     return MorseRun(manifold=m, field=field, points=points, counts=counts,
                     complex=cx, ranks=ranks, inequalities=report,

@@ -181,6 +181,33 @@ def test_disconnected_ranks_refused(capsys):
     assert "8 of 16 counts are flagged" in err
 
 
+_FLAGGED_AT_GRID_6 = ["--manifold", "torus2", "--function",
+                      "sin(2*pi*x1) + 0.5*sin(2*pi*5*x2) + 0.2*cos(2*pi*(3*x1-x2))"]
+
+
+@pytest.mark.parametrize("cmd", ["homology", "arnold", "floer"])
+def test_flagged_counts_refused(capsys, cmd):
+    # the 6-point grid finds 16 of the 24 critical points; seeds draining
+    # towards the missed ones are not captured, and 30 of the 64 counts are
+    # flagged, while the ranks still read (1, 2, 1) by luck
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, out, err = run_cli(capsys, [cmd] + _FLAGGED_AT_GRID_6 + ["--grid", "6"])
+    assert (code, out) == (1, "")
+    assert err.startswith("morseflow: error: 30 of 64 counts are flagged")
+
+
+def test_flagged_counts_still_listed_and_resolved_by_a_finer_grid(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, out, _ = run_cli(capsys, ["connections"] + _FLAGGED_AT_GRID_6 + ["--grid", "6"])
+    assert code == 0
+    assert sum(c["flagged"] for c in json.loads(out)["counts"]) == 30
+    code, out, err = run_cli(capsys, ["homology"] + _FLAGGED_AT_GRID_6 + ["--grid", "10"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["ranks"] == [1, 2, 1]
+
+
 def test_homology_report_shape(capsys):
     code, out, _ = run_cli(capsys, ["homology"] + TORUS_ARGS)
     assert code == 0
@@ -220,6 +247,19 @@ def test_flow_start_with_overflowing_norm(capsys):
                                           "--from", start])
         assert code == 0 and err == ""
         assert out.split("\n")[1:] == want.split("\n")[1:]
+
+
+def test_torus_flow_start_is_reduced_mod_1(capsys):
+    # x1 = 1e17 is the torus point x1 = 0; unreduced, the field was evaluated
+    # at 2*pi*1e17, where rounding makes f wrong, and no step moved x1
+    _, want, _ = run_cli(capsys, ["flow"] + TORUS_ARGS + ["--from=0,0.3"])
+    for start in ("1e17,0.3", "-3,0.3", "-1e-300,0.3"):
+        code, out, err = run_cli(capsys, ["flow"] + TORUS_ARGS + [f"--from={start}"])
+        assert code == 0 and err == ""
+        assert out.split("\n")[1:] == want.split("\n")[1:]
+    # a start already in [0, 1) keeps its bits
+    code, out, _ = run_cli(capsys, ["flow"] + TORUS_ARGS + ["--from=0.1234567890123,0.3"])
+    assert out.split("\n")[3].split(",")[1] == "0.1234567890123"
 
 
 def test_flow_bad_start_is_usage_error(capsys):

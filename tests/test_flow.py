@@ -186,6 +186,36 @@ def test_ranks_independent_of_metric_scale():
     assert all(c.raw_count == 2 for c in run.counts)
 
 
+def _shifted_torus(s):
+    a, b = f"(x1 + {s!r})", f"(x2 + {s!r})"
+    return f"cos(2*pi*{a}) + cos(2*pi*{b}) + 0.05*cos(2*pi*({a} + {b}))"
+
+
+def _rotated_sphere(theta):
+    # x3 + 0.6*x1^2 - 0.3*x3^2 + 0.8*x1^2*x3, rotated about the x2 axis
+    c, s = math.cos(theta), math.sin(theta)
+    x1, x3 = f"({c!r}*x1 - {s!r}*x3)", f"({s!r}*x1 + {c!r}*x3)"
+    return f"{x3} + 0.6*{x1}^2 - 0.3*{x3}^2 + 0.8*{x1}^2*{x3}"
+
+
+@pytest.mark.parametrize("m,texts", [
+    (geometry.torus(2), [_shifted_torus(s) for s in (0.0, 0.125, 0.25, 0.37)]),
+    (geometry.sphere(2), [_rotated_sphere(t) for t in (0.0, 0.3, 0.7)]),
+])
+def test_step_control_is_chart_invariant(m, texts):
+    # a translated torus field or a rotated sphere field is the same flow in
+    # another chart: it takes the same ranks and about the same work, however
+    # close its critical points sit to a coordinate zero
+    ranks, steps = set(), []
+    for text in texts:
+        run = pipeline.run_morse(ScalarField.from_text(text, m.ambient_dim), m)
+        assert not any(c.flagged for c in run.counts)
+        ranks.add(run.ranks.by_degree)
+        steps.append(sum(len(r.times) - 1 for c in run.counts for r in c.representatives))
+    assert len(ranks) == 1
+    assert max(steps) <= 1.02 * min(steps), steps
+
+
 def test_rp2_counts(torus):
     f = ScalarField.from_text("(1*x2^2 + 2*x3^2) / (x1^2 + x2^2 + x3^2)", 3)
     m = geometry.projective(2)
@@ -382,7 +412,7 @@ def _reference_integrate(field, m, y, points, t_max=flow.T_MAX_DEFAULT):
                 if ej != 0.0:
                     e += ej * ks[j][i]
             e *= h
-            r = e / (flow.ATOL + flow.RTOL * max(abs(y[i]), abs(y_new[i])))
+            r = e / flow.TOL
             err += r * r
         err = math.sqrt(err / len(y))
         if err <= 1.0:
@@ -458,9 +488,9 @@ def test_backward_flow_is_the_flow_of_minus_f(m, text):
 
 
 @pytest.mark.parametrize("text,dim,m,start,calls,accepted", [
-    (_TORUS2, 2, geometry.torus(2), (0.25, 0.5), 403, 65),
-    (_TORUS2, 2, geometry.torus(2), (0.23, 0.41), 409, 68),
-    ("x3", 3, geometry.sphere(2), (1.0, 0.0, 0.0), 1106, 157),
+    (_TORUS2, 2, geometry.torus(2), (0.25, 0.5), 355, 57),
+    (_TORUS2, 2, geometry.torus(2), (0.23, 0.41), 367, 61),
+    ("x3", 3, geometry.sphere(2), (1.0, 0.0, 0.0), 692, 97),
 ])
 def test_every_stage_goes_through_make_rhs(monkeypatch, text, dim, m, start, calls, accepted):
     # a benchmark tracer counts RHS evaluations by wrapping what make_rhs
