@@ -250,8 +250,8 @@ def test_flow_start_with_overflowing_norm(capsys):
 
 
 def test_torus_flow_start_is_reduced_mod_1(capsys):
-    # x1 = 1e17 is the torus point x1 = 0; unreduced, the field was evaluated
-    # at 2*pi*1e17, where rounding makes f wrong, and no step moved x1
+    # x1 = 1e17 is the torus point x1 = 0; unreduced, f would be evaluated at
+    # 2*pi*1e17, where rounding makes it wrong, and no step could move x1
     _, want, _ = run_cli(capsys, ["flow"] + TORUS_ARGS + ["--from=0,0.3"])
     for start in ("1e17,0.3", "-3,0.3", "-1e-300,0.3"):
         code, out, err = run_cli(capsys, ["flow"] + TORUS_ARGS + [f"--from={start}"])
