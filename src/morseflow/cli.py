@@ -141,6 +141,7 @@ def _cmd_flow(ns: argparse.Namespace) -> str:
     except NoConvergenceError as exc:
         traj = exc.trajectory
         status = "unresolved"
+    fs = [field.value(p) for p in traj.points]
     if ns.out == "json":
         return _json_report({
             "config": _report_config(ns),
@@ -149,12 +150,12 @@ def _cmd_flow(ns: argparse.Namespace) -> str:
             "sink": traj.sink_label,
             "energy": traj.energy,
             "samples": [[t, list(p), f] for t, p, f in
-                        zip(traj.times, traj.points, traj.f_values)],
+                        zip(traj.times, traj.points, fs)],
         })
     lines = [f"# config: {json.dumps(_report_config(ns), sort_keys=True)}",
              f"# status: {status} sink: {traj.sink_label}",
              ",".join(["t"] + [f"x{k + 1}" for k in range(len(traj.points[0]))] + ["f"])]
-    for t, p, f in zip(traj.times, traj.points, traj.f_values):
+    for t, p, f in zip(traj.times, traj.points, fs):
         lines.append(",".join([repr(t)] + [repr(v) for v in p] + [repr(f)]))
     return "\n".join(lines) + "\n"
 

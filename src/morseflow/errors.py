@@ -96,7 +96,9 @@ class SourceIndexError(MorseflowError):
 
 
 class ResolutionWarning(UserWarning):
-    """A seed trajectory reached t_max uncaptured; its source's counts are flagged."""
+    """A seed trajectory was not captured: it reached t_max, or it was retired
+    after STALL_STEPS slow steps outside every capture ball.  Its source's
+    counts are flagged."""
 
 
 # --- chain complexes -------------------------------------------------------

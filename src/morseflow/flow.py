@@ -14,7 +14,9 @@ only for distance tests) and sphere / projective trajectories live on
 the unit sphere in ambient coordinates with a tangent re-projection and
 renormalization each step; for RP^n the unit sphere is the double cover,
 a local isometry of the round quotient, so flow lines downstairs are
-exactly the projected ones.
+exactly the projected ones.  A trajectory keeps its times and points;
+f is evaluated only at its two ends, since its energy is f(start) - f(end)
+(Banyaga & Hurtubise, Lectures on Morse Homology, 2004).
 
 A trajectory acquires its sink label when it enters the capture ball
 (radius 1e-4) of a critical point and stays there for 10 consecutive
@@ -26,7 +28,9 @@ missed and is retired unresolved.
 Counting M(f; p, q) for index difference one: the unstable sphere of an
 index-1 point is two antipodal seeds, and each seed trajectory is itself
 a candidate connecting orbit, so from an index-1 source the raw count is
-the number of seeds sinking at q.  M(f; p, q) is M(-f; q, p) run
+the number of seeds sinking at q.  A seed captured at a point of index
+other than 0 ran along a saddle connection, and the run is refused as not
+Morse-Smale.  M(f; p, q) is M(-f; q, p) run
 backwards, and under -f a point of index k has index n - k (Milnor,
 Lectures on the h-cobordism theorem, 1965), so a pair of index (n, n-1)
 is counted by flowing f backwards in time from the two seeds of q's
@@ -81,7 +85,6 @@ STALL_STEPS = 1000
 class Trajectory:
     times: list
     points: list             # raw working coordinates (tuples)
-    f_values: list
     source_label: int | None
     sink_label: int | None
     energy: float
@@ -272,9 +275,11 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
     """Flow `start` down the negative gradient until capture, or up it when
     `backward`: f's step with h negated, the flow of -f.  Times count up
     from 0 either way, and the energy is the drop of f (forward) or its
-    rise (backward).  Pass the critical `points` of the field, or their
-    `_capture_lookup` as `capture`; callers that flow many seeds against
-    one point list build it once.
+    rise (backward).  f is evaluated only at the two ends; a start where
+    f is undefined raises DomainError before anything flows.  Pass the
+    critical `points` of the field, or their `_capture_lookup` as
+    `capture`; callers that flow many seeds against one point list build
+    it once.
 
     Raises NoConvergenceError (with the partial trajectory attached) when
     t_max elapses before any capture ball claims the endpoint, or when the
@@ -293,8 +298,8 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
     step = _compiled(m)[1](rhs)
     sign = -1.0 if backward else 1.0
 
-    fval = field.value
-    traj = Trajectory([0.0], [y], [fval(y)], source_label, None, 0.0)
+    f_start = field.value(y)
+    traj = Trajectory([0.0], [y], source_label, None, 0.0)
 
     # immediate capture: constant trajectory, sink = source
     cid = capture(y)
@@ -309,7 +314,7 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
     k1 = rhs(y)
     dwell_id, dwell, stalled = None, 0, 0
     steps, max_steps = 0, STEPS_PER_TIME * max(t_max, 10.0)
-    while t < t_max:
+    while t < t_max and dwell < CAPTURE_DWELL and stalled < STALL_STEPS:
         h = min(h, H_MAX, t_max - t)
         steps += 1
         if h < 1e-14 * max(1.0, abs(t)) or steps > max_steps:
@@ -326,7 +331,6 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
             y = y_new
             traj.times.append(t)
             traj.points.append(y)
-            traj.f_values.append(fval(y))
 
             hit = capture(y)
             stalled = stalled + 1 if hit is None and math.hypot(*k1) < CAPTURE_RADIUS else 0
@@ -336,17 +340,14 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
                 dwell += 1
             else:
                 dwell_id, dwell = hit, 1
-            if dwell >= CAPTURE_DWELL:
-                traj.sink_label = dwell_id
-                traj.energy = sign * (traj.f_values[0] - traj.f_values[-1])
-                return traj
-            if stalled >= STALL_STEPS:
-                break
 
         fac = 0.9 * err ** -0.2 if err > 1e-30 else 5.0
         h *= min(5.0, max(0.2, fac))
 
-    traj.energy = sign * (traj.f_values[0] - traj.f_values[-1])
+    traj.energy = sign * (f_start - field.value(y))
+    if dwell >= CAPTURE_DWELL:
+        traj.sink_label = dwell_id
+        return traj
     if stalled >= STALL_STEPS:
         raise NoConvergenceError(f"stalled outside every capture ball at t={t}",
                                  trajectory=traj)
@@ -401,16 +402,27 @@ def _scan(field, m, p, capture, t_max, backward=False):
     return trajs
 
 
-def _source_counts(field, m, p, sinks, capture, t_max, backward=False):
+def _source_counts(field, m, p, sinks, points, capture, t_max, backward=False):
     """ConnectionCount from index-1 p to each of `sinks`: p's seeds sinking
-    there; when `backward`, flowed backward from p of index n - 1."""
+    there; when `backward`, flowed backward from p of index n - 1.
+
+    A seed captured at a point whose index is not p's minus one (plus one
+    when `backward`) ran along a saddle connection, so the flow is not
+    Morse-Smale and its counts mean nothing: DomainError."""
     trajs = _scan(field, m, p, capture, t_max, backward)
+    want = p.index + 1 if backward else p.index - 1
     flagged = False
     for traj in trajs:
         if traj.sink_label is None:
             flagged = True
             warnings.warn(f"seed trajectory from index-1 point {p.id} unresolved",
                           ResolutionWarning)
+        elif points[traj.sink_label].index != want:
+            q = points[traj.sink_label]
+            raise DomainError(
+                f"saddle connection: a seed of index-{p.index} point {p.id} is captured at "
+                f"index-{q.index} point {q.id}, so the flow is not Morse-Smale; "
+                "perturb the function by a small generic term")
     out = []
     for q in sinks:
         reps = [traj for traj in trajs if traj.sink_label == q.id]
@@ -427,7 +439,6 @@ def _reversed(traj: Trajectory) -> Trajectory:
     end = traj.times[-1]
     return Trajectory(times=[end - t for t in reversed(traj.times)],
                       points=traj.points[::-1],
-                      f_values=traj.f_values[::-1],
                       source_label=traj.sink_label, sink_label=traj.source_label,
                       energy=traj.energy)
 
@@ -452,10 +463,10 @@ def _count_pairs(field, m, pairs, points, t_max):
             dual.setdefault(q.id, (q, []))[1].append(p)
     found = {}
     for p, sinks in direct.values():
-        for c in _source_counts(field, m, p, sinks, capture, t_max):
+        for c in _source_counts(field, m, p, sinks, points, capture, t_max):
             found[c.source, c.sink] = c
     for q, sources in dual.values():
-        for c in _source_counts(field, m, q, sources, capture, t_max, backward=True):
+        for c in _source_counts(field, m, q, sources, points, capture, t_max, backward=True):
             found[c.sink, c.source] = ConnectionCount(
                 source=c.sink, sink=c.source, count_mod2=c.count_mod2,
                 raw_count=c.raw_count, flagged=c.flagged,

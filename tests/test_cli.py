@@ -4,6 +4,7 @@ precedence.  Everything drives main(argv) in-process."""
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from morseflow import cli, geometry, maslov
+from morseflow.funcexpr import ScalarField
 
 TORUS_ARGS = ["--manifold", "torus2", "--function", "cos(2*pi*x1) + cos(2*pi*x2)"]
 
@@ -237,6 +239,27 @@ def test_flow_csv_shape(capsys):
     assert float(last[3]) < -0.999  # ends near the south pole
 
 
+@pytest.mark.parametrize("out", ["csv", "json"])
+@pytest.mark.parametrize("manifold,function,start", [
+    ("torus2", "cos(2*pi*x1) + cos(2*pi*x2)", "0.23,0.41"),
+    ("sphere2", "x3 + 0.3*x1*x2", "0.6,0,0.8"),
+])
+def test_flow_report_f_is_the_field_at_each_row(capsys, out, manifold, function, start):
+    m = geometry.parse_manifold(manifold)
+    field = ScalarField.from_text(function, m.ambient_dim)
+    code, text, _ = run_cli(capsys, ["flow", "--manifold", manifold, "--function", function,
+                                     "--from", start, "--out", out])
+    assert code == 0
+    if out == "json":
+        rows = [(p, repr(f)) for _, p, f in json.loads(text)["samples"]]
+    else:
+        rows = [(row[1:-1], row[-1]) for row in
+                (line.split(",") for line in text.strip().split("\n")[3:])]
+    assert len(rows) > 20
+    for point, f in rows:
+        assert f == repr(field.value(tuple(float(v) for v in point)))
+
+
 def test_flow_start_with_overflowing_norm(capsys):
     # the squares of 1e308 overflow; the start is still the point (1, 0, 0),
     # the same flow as from (1, 0, 0) itself
@@ -278,6 +301,27 @@ def test_connections_report(capsys):
     assert {(c["source"], c["sink"]) for c in d["counts"]} == \
         {(1, 0), (2, 0), (3, 1), (3, 2)}
     assert all(c["count_mod2"] == 0 for c in d["counts"])
+
+
+_UPRIGHT_TORUS = ["--manifold", "torus2", "--function", "(2+cos(2*pi*x2))*cos(2*pi*x1)"]
+
+
+@pytest.mark.parametrize("cmd", ["homology", "arnold", "floer", "connections"])
+def test_saddle_connection_refused(capsys, cmd):
+    # both seeds of index-1 point 1 run into index-1 point 2: not Morse-Smale
+    code, out, err = run_cli(capsys, [cmd] + _UPRIGHT_TORUS)
+    assert (code, out) == (1, "")
+    assert err.startswith("morseflow: error: saddle connection: ")
+    assert "point 1 " in err and "point 2," in err and "perturb" in err
+
+
+def test_perturbed_saddle_connection_counts(capsys):
+    perturbed = _UPRIGHT_TORUS[:-1] + [_UPRIGHT_TORUS[-1] + " + 1e-6*sin(2*pi*x2)"]
+    code, out, err = run_cli(capsys, ["homology"] + perturbed)
+    assert (code, err) == (0, "")
+    d = json.loads(out)
+    assert d["ranks"] == [1, 2, 1]
+    assert [c["raw_count"] for c in d["counts"]] == [2, 2, 2, 2]
 
 
 def test_arnold_values(capsys):
@@ -583,3 +627,18 @@ def test_readme_common_flags_match_parser(capsys):
         options = set(re.findall(r"^  (--[a-z]+)", capsys.readouterr().out, re.MULTILINE))
         common = options if common is None else common & options
     assert listed == common
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```\n(morseflow .*?)```", text, re.DOTALL).group(1)
+    examples = block.strip().split("\n")
+    assert len(examples) == 7
+    monkeypatch.chdir(tmp_path)
+    _half_turn_loop(tmp_path / "loop.csv")
+    for line in examples:
+        argv = shlex.split(line)
+        assert argv[0] == "morseflow"
+        code, out, err = run_cli(capsys, argv[1:])
+        assert (code, err) == (0, ""), line
+        assert out

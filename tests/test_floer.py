@@ -151,8 +151,7 @@ def test_strip_area_constant_trajectory_is_zero(torus_run):
 def test_strip_area_rejects_unresolved(torus_run):
     f, m, run = torus_run
     traj = flow.Trajectory(times=(0.0, 1.0), points=((0.2, 0.2), (0.3, 0.3)),
-                           f_values=(1.0, 0.5), source_label=None, sink_label=None,
-                           energy=0.5)
+                           source_label=None, sink_label=None, energy=0.5)
     with pytest.raises(QuadratureFailureError):
         floer.strip_area_check(f, m, [traj], epsilon=0.05, points=run.points)
 
@@ -192,7 +191,7 @@ def test_strip_gradient_fault_at_hermite_node_is_domain_error():
     pts = [critpoint.CriticalPoint(location=(x,), index=i, eigenvalues=(), residual=0.0,
                                    nondegenerate=True, id=i)
            for i, x in enumerate((0.105, 0.3))]
-    traj = flow.Trajectory(times=[0.0, 2.0], points=[(0.2,), (0.11,)], f_values=[0.0, 0.0],
+    traj = flow.Trajectory(times=[0.0, 2.0], points=[(0.2,), (0.11,)],
                            source_label=1, sink_label=0, energy=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -215,8 +214,7 @@ def test_strip_area_coarse_trajectory_fails_quadrature(torus_run):
     bottom = next(p for p in run.points if p.index == 0)
     traj = flow.Trajectory(times=[0.0, 0.1, 0.2],
                            points=[(0.05, 0.05), (0.25, 0.25), (0.45, 0.45)],
-                           f_values=[0.0, 0.0, 0.0], source_label=top.id,
-                           sink_label=bottom.id, energy=0.0)
+                           source_label=top.id, sink_label=bottom.id, energy=0.0)
     with pytest.raises(QuadratureFailureError):
         floer.strip_area_check(f, m, [traj], epsilon=0.05, points=run.points)
 
@@ -307,8 +305,7 @@ def test_strip_pass_refuses_an_unresolved_second_trajectory(torus_run):
     f, m, run = torus_run
     good = run.counts[0].representatives[0]
     loose = flow.Trajectory(times=[0.0, 1.0], points=[(0.2, 0.2), (0.3, 0.3)],
-                            f_values=[1.0, 0.5], source_label=good.source_label,
-                            sink_label=None, energy=0.5)
+                            source_label=good.source_label, sink_label=None, energy=0.5)
     with pytest.raises(QuadratureFailureError):
         floer.strip_area_check(f, m, [good, loose], epsilon=0.05, points=run.points)
 

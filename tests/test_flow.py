@@ -55,7 +55,7 @@ def test_integrate_torus_segment(torus):
 def test_f_monotone_and_energy_positive(torus):
     f, m, pts = torus
     traj = flow.integrate(f, m, (0.23, 0.41), t_max=200.0, points=pts)
-    vals = np.array(traj.f_values)
+    vals = np.array([f.value(y) for y in traj.points])
     assert np.all(np.diff(vals) <= 1e-9)
     assert traj.energy > 0
     assert abs(traj.energy - (vals[0] - vals[-1])) < 1e-9
@@ -269,7 +269,7 @@ def test_reversed_representatives_run_from_p_to_q(text, dim, m):
         for traj in c.representatives:
             assert (traj.source_label, traj.sink_label) == (c.source, c.sink)
             assert traj.times[0] == 0.0 and np.all(np.diff(traj.times) > 0)
-            assert np.all(np.diff(traj.f_values) <= 1e-9)
+            assert np.all(np.diff([f.value(y) for y in traj.points]) <= 1e-9)
             assert floer.strip_area_check(f, m, [traj], points=pts)[0].agrees
 
 
@@ -451,8 +451,7 @@ def test_compiled_step_is_bitwise_the_stage_loop(m, text, start, grid):
     traj = flow.integrate(f, m, start, points=pts)
     y = tuple(float(v) for v in (start if m.kind == "torus" else geometry.unit_lift(m, start)))
     assert traj.sink_label is not None and len(traj.times) > 20
-    assert (traj.times, traj.points, traj.f_values) == \
-        _reference_integrate(f, m, y, pts)
+    assert (traj.times, traj.points) == _reference_integrate(f, m, y, pts)[:2]
 
 
 @pytest.mark.parametrize("m,text", [
@@ -468,7 +467,7 @@ def test_backward_flow_is_the_flow_of_minus_f(m, text):
     neg = ScalarField(Neg(f.expr), f.dim)
     pts = critpoint.find_critical_points(f, m)
     capture = flow._capture_lookup(m, pts)
-    reps = {(c.source, c.sink): [(r.times, r.points, r.f_values) for r in c.representatives]
+    reps = {(c.source, c.sink): [(r.times, r.points) for r in c.representatives]
             for c in flow.connection_counts(f, m, pts) if pts[c.source].index == m.n}
     assert sum(map(len, reps.values())) >= 2
     expected = {pair: [] for pair in reps}
@@ -480,10 +479,10 @@ def test_backward_flow_is_the_flow_of_minus_f(m, text):
             y = tuple(float(u) for u in (seed if m.kind == "torus" else geometry.unit_lift(m, seed)))
             times, ys, fs = _reference_integrate(neg, m, y, pts)
             traj = flow.integrate(f, m, seed, points=pts, source_label=q.id, backward=True)
-            assert (traj.times, traj.points, traj.f_values) == (times, ys, [-v for v in fs])
+            assert (traj.times, traj.points) == (times, ys)
             assert traj.energy == fs[0] - fs[-1] > 0
             expected[capture(ys[-1]), q.id].append(
-                ([times[-1] - t for t in reversed(times)], ys[::-1], [-v for v in reversed(fs)]))
+                ([times[-1] - t for t in reversed(times)], ys[::-1]))
     assert reps == expected
 
 
@@ -558,6 +557,47 @@ def test_integrate_with_a_given_lookup_equals_its_own(torus):
     for start in ((0.23, 0.61), (0.5 + flow.SEED_EPS, 0.0)):
         own = flow.integrate(f, m, start, points=pts)
         shared = flow.integrate(f, m, start, capture=lookup)
-        assert (shared.times, shared.points, shared.f_values) == \
-            (own.times, own.points, own.f_values)
+        assert (shared.times, shared.points) == (own.times, own.points)
         assert shared.sink_label == own.sink_label
+
+
+def test_integrate_evaluates_f_only_at_the_ends(torus):
+    # the energy f(start) - f(end) needs f at the two ends of a trajectory,
+    # and no other sample
+    _, m, pts = torus
+    f = ScalarField.from_text(_TORUS2, 2)
+    value, calls = f.value, []
+
+    def counting(y):
+        calls.append(y)
+        return value(y)
+    f.value = counting
+    traj = flow.integrate(f, m, (0.23, 0.41), points=pts)
+    assert len(traj.times) > 20 and calls == [traj.points[0], traj.points[-1]]
+    assert traj.energy == value(traj.points[0]) - value(traj.points[-1])
+    calls.clear()
+    with pytest.raises(NoConvergenceError) as ei:
+        flow.integrate(f, m, (0.23, 0.41), t_max=0.05, points=pts)
+    partial = ei.value.trajectory
+    assert len(partial.times) > 2 and calls == [partial.points[0], partial.points[-1]]
+    calls.clear()
+    mx = next(p for p in pts if p.index == 2)
+    traj = flow.integrate(f, m, mx.location, points=pts)
+    assert (len(calls), traj.sink_label, traj.energy) == (1, mx.id, 0.0)
+
+
+_UPRIGHT_TORUS = "(2+cos(2*pi*x2))*cos(2*pi*x1)"
+
+
+def test_saddle_connection_refused():
+    # on the upright torus both seeds of one index-1 point run along the
+    # invariant circle x2 = 1/2 into the other index-1 point
+    f = ScalarField.from_text(_UPRIGHT_TORUS, 2)
+    m = geometry.torus(2)
+    pts = critpoint.find_critical_points(f, m)
+    assert [p.index for p in pts] == [0, 1, 1, 2]
+    with pytest.raises(DomainError, match="saddle connection.* point 1 .* point 2"):
+        flow.connection_counts(f, m, pts)
+    for p, q in ((pts[1], pts[0]), (pts[3], pts[2])):
+        with pytest.raises(DomainError, match="saddle connection"):
+            flow.count_connecting(f, m, p, q, points=pts)
