@@ -168,16 +168,17 @@ def _sweep(field: ScalarField, m: geometry.ManifoldModel, X: np.ndarray):
         at = tuple(X[np.argmax(bad)].tolist())
         raise DomainError(f"gradient evaluation failed: not finite at seed {at}", at)
     gsq = np.sum(g * g, axis=1)
-    kept = np.ones(len(X), dtype=bool)
+    searching = np.ones(len(X), dtype=bool)
     live = np.arange(len(X))
     for _ in range(MAX_NEWTON_ITERS):
-        live = live[kept[live] & (gsq[live] > 1e-24)]
+        live = live[searching[live] & (gsq[live] > 1e-24)]
         if not live.size:
             break
         step = _newton_steps(field, m, X[live], G[live], g[live])
-        # NewtonDivergence: a seed whose line search fails is silently discarded
-        kept[_line_search(field, m, live, step, X, G, g, gsq)] = False
-    kept &= gsq <= RESIDUAL_TOL ** 2
+        # a seed whose line search fails leaves the batch: converged when it
+        # stopped at the rounding floor below RESIDUAL_TOL, else silently discarded
+        searching[_line_search(field, m, live, step, X, G, g, gsq)] = False
+    kept = gsq <= RESIDUAL_TOL ** 2
     return X[kept], np.sqrt(gsq[kept])
 
 

@@ -291,7 +291,10 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
     if capture is None:
         capture = _capture_lookup(m, points)
     if m.kind == "torus":
-        y = tuple(float(v) for v in np.atleast_1d(np.asarray(start, dtype=float)))
+        # a far start is reduced mod 1 (twice: a tiny negative v % 1.0 is 1.0);
+        # seeds lie within SEED_EPS of [0, 1) and keep their bits
+        y = tuple(v if -1.0 <= v < 2.0 else v % 1.0 % 1.0
+                  for v in np.atleast_1d(np.asarray(start, dtype=float)).tolist())
     else:
         y = tuple(float(v) for v in geometry.unit_lift(m, start))
     rhs = make_rhs(field, m)

@@ -77,8 +77,8 @@ class LagrangianLoop:
         if n == 0 or 2 * n * n != width:
             raise NotLagrangianError(
                 f"row width {width} is not 2*n^2 for any integer n")
-        samples = [(r[0], np.asarray(r[1:]).reshape(2 * n, n)) for r in rows]
-        return cls.from_samples(samples)
+        data = np.array(rows)
+        return cls(tuple(data[:, 0].tolist()), tuple(data[:, 1:].reshape(-1, 2 * n, n)))
 
 
 def _orthonormal(frame: np.ndarray) -> np.ndarray:
@@ -88,50 +88,50 @@ def _orthonormal(frame: np.ndarray) -> np.ndarray:
     return q
 
 
-def _check_lagrangian(frame: np.ndarray):
-    two_n, n = frame.shape
-    if two_n != 2 * n:
-        raise NotLagrangianError(f"frame shape {frame.shape} is not 2n x n")
-    X, Y = frame[:n], frame[n:]
-    pairing = X.T @ Y - Y.T @ X   # omega evaluated on all column pairs
-    if np.max(np.abs(pairing)) > LAGRANGIAN_TOL * max(1.0, float(np.max(np.abs(frame))) ** 2):
-        raise NotLagrangianError(
-            f"frame violates the Lagrangian condition by {np.max(np.abs(pairing)):.3e}")
-
-
-def _det_squared(frame: np.ndarray) -> complex:
-    q = _orthonormal(frame)
-    n = frame.shape[1]
-    Z = q[:n] + 1j * q[n:]
-    # orthonormal + Lagrangian => unitary; guard against silent drift
-    if np.max(np.abs(Z.conj().T @ Z - np.eye(n))) > 1e-8:
-        raise NotLagrangianError("orthonormalized frame is not unitary in C^n")
-    d = complex(np.linalg.det(Z))
-    return d * d
-
-
-def validate_loop(loop: LagrangianLoop):
+def validate_loop(loop: LagrangianLoop) -> np.ndarray:
+    """Check every frame, then closure; returns the frames stacked, (N, 2n, n)."""
     if len(loop.frames) < 2:
         raise LoopNotClosedError("a loop needs at least two samples")
-    for fr in loop.frames:
-        _check_lagrangian(fr)
-    q0 = _orthonormal(loop.frames[0])
-    q1 = _orthonormal(loop.frames[-1])
+    first = loop.frames[0].shape
+    for k, fr in enumerate(loop.frames):
+        if len(fr.shape) != 2 or fr.shape[0] != 2 * fr.shape[1]:
+            raise NotLagrangianError(f"frame shape {fr.shape} is not 2n x n")
+        if fr.shape != first:
+            raise NotLagrangianError(f"frame {k} has shape {fr.shape}, not frame 0's {first}")
+    F = np.asarray(loop.frames)
+    X, Y = F[:, :loop.n], F[:, loop.n:]
+    # omega evaluated on all column pairs of every frame
+    pairing = np.abs(X.transpose(0, 2, 1) @ Y - Y.transpose(0, 2, 1) @ X).max(axis=(1, 2))
+    bad = pairing > LAGRANGIAN_TOL * np.maximum(1.0, np.abs(F).max(axis=(1, 2))) ** 2
+    if bad.any():
+        raise NotLagrangianError(
+            f"frame violates the Lagrangian condition by {pairing[bad.argmax()]:.3e}")
+    q0, q1 = _orthonormal(F[0]), _orthonormal(F[-1])
     gap = np.linalg.norm(q0 @ q0.T - q1 @ q1.T, 2)
     if gap > CLOSURE_TOL:
         raise LoopNotClosedError(
             f"first and last subspaces differ by {gap:.3e} (tolerance {CLOSURE_TOL})")
+    return F
 
 
 def maslov_index(loop: LagrangianLoop) -> int:
-    """Winding number of det^2 along the loop.
+    """Winding number of det^2 along the loop, from one QR and one det of the stack.
 
     Raises SamplingTooCoarseError when consecutive samples jump by a phase
     of pi or more, or when the accumulated winding is farther than 0.1
     from an integer.
     """
-    validate_loop(loop)
-    dets = [_det_squared(fr) for fr in loop.frames]
+    F = validate_loop(loop)
+    Q, R = np.linalg.qr(F)
+    dependent = abs(R.diagonal(0, 1, 2)).min(1) < 1e-10 * np.maximum(1.0, abs(F).max((1, 2)))
+    Z = Q[:, :loop.n] + 1j * Q[:, loop.n:]
+    # orthonormal + Lagrangian => unitary; guard against silent drift
+    drift = np.abs(Z.conj().transpose(0, 2, 1) @ Z - np.eye(loop.n)).max(axis=(1, 2)) > 1e-8
+    k = np.argmax(dependent | drift)     # the first frame failing a check, rank first
+    if dependent[k] or drift[k]:
+        raise NotLagrangianError("frame columns are linearly dependent" if dependent[k]
+                                 else "orthonormalized frame is not unitary in C^n")
+    dets = [d * d for d in np.linalg.det(Z).tolist()]
     total = 0.0
     for a, b in zip(dets, dets[1:]):
         delta = cmath.phase(b / a)

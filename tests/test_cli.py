@@ -642,3 +642,22 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
         code, out, err = run_cli(capsys, argv[1:])
         assert (code, err) == (0, ""), line
         assert out
+
+
+@pytest.mark.parametrize("manifold,function,ranks", [
+    ("circle", "1e4*cos(2*pi*x1)", [1, 1]),
+    ("torus2", "1e4*(cos(2*pi*x1) + cos(2*pi*x2))", [1, 2, 1]),
+])
+def test_scaled_fields_keep_minima_at_the_rounding_floor(capsys, manifold, function, ranks):
+    code, out, err = run_cli(capsys, ["homology", "--manifold", manifold, "--function", function])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["ranks"] == ranks
+
+
+def test_minimum_whose_rounding_floor_exceeds_the_tolerance_refused(capsys):
+    # at 1e5 the minimum's residual bottoms out near 1.1e-10, above RESIDUAL_TOL:
+    # the saddles and the maximum are kept, the minimum is not
+    code, out, err = run_cli(capsys, ["homology", "--manifold", "torus2", "--function",
+                                      "1e5*(cos(2*pi*x1) + cos(2*pi*x2))"])
+    assert (code, out) == (1, "")
+    assert "Euler characteristic -1 (torus2: 0)" in err

@@ -229,3 +229,14 @@ def test_degenerate_points_share_an_index():
     assert len(equator) > 20
     assert {p.index for p in equator} == {0}
     assert all(p.nondegenerate and p.index == 2 for p in pts if p not in equator)
+
+
+def test_points_converged_to_the_rounding_floor_are_kept():
+    # Newton ends at the minimum of 1e4*cos(2*pi*x1) with |g|^2 near 6e-23:
+    # above the batch exit 1e-24, below RESIDUAL_TOL^2, and no Armijo step
+    # lowers it.  The row has converged; it leaves the batch and is kept.
+    m = geometry.parse_manifold("circle")
+    f = ScalarField.from_text("1e4*cos(2*pi*x1)", 1)
+    pts = critpoint.find_critical_points(f, m)
+    assert [(p.index, round(p.location[0], 9)) for p in pts] == [(0, 0.5), (1, 0.0)]
+    assert all(p.residual < critpoint.RESIDUAL_TOL for p in pts)

@@ -601,3 +601,11 @@ def test_saddle_connection_refused():
     for p, q in ((pts[1], pts[0]), (pts[3], pts[2])):
         with pytest.raises(DomainError, match="saddle connection"):
             flow.count_connecting(f, m, p, q, points=pts)
+
+
+def test_far_torus_start_is_reduced_mod_1(torus):
+    f, m, pts = torus
+    far = flow.integrate(f, m, (1e17, 0.3), points=pts)
+    near = flow.integrate(f, m, (0.0, 0.3), points=pts)
+    assert far.points == near.points and far.times == near.times
+    assert (far.sink_label, far.energy) == (near.sink_label, near.energy)
