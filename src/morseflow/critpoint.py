@@ -1,10 +1,11 @@
 """Critical point location and Morse classification.
 
 Newton's method on the gradient, damped by a backtracking line search on
-|grad f|^2, is run from a deterministic seed grid; converged points are
-deduplicated and classified by the spectrum of the Hessian.  The sweep
-is batched: every live seed takes its Newton step in one stacked solve
-over numpy evaluations, then runs its own Armijo line search.
+|grad f|^2, is run from a deterministic seed grid; converged rows are
+taken in order of residual, each point keeps its first lowest-residual
+row, and the points are classified by the spectrum of the Hessian.  The
+sweep is batched: every live seed takes its Newton step in one stacked
+solve over numpy evaluations, then runs its own Armijo line search.
 
 On the sphere (and on the RP^n double cover) the relevant operator is the
 intrinsic Hessian of the restriction: in an orthonormal tangent frame P at
@@ -29,7 +30,7 @@ RESIDUAL_TOL = 1e-10     # a point counts as critical only below this
 DEDUPE_RADIUS = 1e-6
 DEGENERACY_REL = 1e-8    # |eigenvalue| below this times the spectral radius
 MAX_NEWTON_ITERS = 100
-DEDUPE_BLOCK = 256       # rows whose distances to the found points are taken at once
+DEDUPE_BLOCK = 256       # rows whose distances to the kept rows are taken at once
 
 
 @dataclass(frozen=True)
@@ -134,28 +135,41 @@ def _newton_steps(field: ScalarField, m: geometry.ManifoldModel, X, G, g) -> np.
 def _line_search(field, m, rows, step, X, G, g, gsq) -> np.ndarray:
     """Armijo backtracking on |g|^2 from each of `rows`, in lockstep: 40 halvings
     of t along its Newton step, then 40 along -g.  Off the torus a candidate
-    that nearly vanishes fails.  An accepted candidate replaces the row of X,
-    G, g and gsq in place; returns the rows that found none."""
+    that nearly vanishes fails.  A row whose trial point and candidate are its
+    own row of X bitwise leaves the direction's halvings at once: every smaller
+    t gives that point again, whose |g|^2 is gsq and passes no test.  An
+    accepted candidate replaces the row of X, G, g and gsq in place; returns
+    the rows that found none."""
     pending = np.arange(len(rows))       # positions in rows still searching
     for direction in (step, -g[rows]):
         t = 1.0
+        stuck = []                       # positions that cannot move along direction
         for _ in range(40):
             if not pending.size:
                 break
             at = rows[pending]
-            cand = X[at] + t * direction[pending]
+            x = X[at]
+            cand = x + t * direction[pending]
+            bits = x.view(np.int64)          # float == would equate -0.0 and 0.0
+            still = (cand.view(np.int64) == bits).all(axis=1)
             if m.kind != "torus":
-                r = np.linalg.norm(cand, axis=1, keepdims=True)
-                cand = cand / r
+                r = np.linalg.norm(cand, axis=1)
+                cand = cand / r[:, None]
+                still &= (cand.view(np.int64) == bits).all(axis=1)
+            stuck.append(pending[still])
+            pending, at, cand = pending[~still], at[~still], cand[~still]
+            if not pending.size:
+                break
             Gc, gc = _gradients(field, m, cand)
             gcsq = np.sum(gc * gc, axis=1)
             # a non-finite gradient fails both comparisons
             ok = (gcsq < gsq[at] * (1.0 - 1e-4 * t)) | (gcsq <= 1e-24)
             if m.kind != "torus":
-                ok &= r[:, 0] >= 1e-12
+                ok &= r[~still] >= 1e-12
             X[at[ok]], G[at[ok]], g[at[ok]], gsq[at[ok]] = cand[ok], Gc[ok], gc[ok], gcsq[ok]
             pending = pending[~ok]
             t *= 0.5
+        pending = np.sort(np.concatenate([pending, *stuck]))
     return rows[pending]
 
 
@@ -183,32 +197,22 @@ def _sweep(field: ScalarField, m: geometry.ManifoldModel, X: np.ndarray):
 
 
 def _dedupe(m: geometry.ManifoldModel, xs: np.ndarray, residuals: np.ndarray) -> np.ndarray:
-    """In row order, a point joins the first found point within DEDUPE_RADIUS
-    and the lower residual wins.  Distances are taken a block of rows at a
-    time against the found points; a found or replaced point takes only its
-    own column again."""
-    rep = [0]                    # row of each found point
+    """The first lowest-residual row of each point.  Rows are taken by
+    ascending residual, ties in row order, and a row within DEDUPE_RADIUS of
+    a kept row is dropped.  A block of rows at a time takes its distances to
+    the kept rows; then each row the block keeps drops the rest of the block
+    within DEDUPE_RADIUS of it."""
+    xs = xs[np.argsort(residuals, kind="stable")]
+    kept = [0]
     for start in range(1, len(xs), DEDUPE_BLOCK):
-        rows = xs[start:start + DEDUPE_BLOCK, None]
-        near = np.zeros((len(rows), len(rep) + len(rows)), dtype=bool)
-        near[:, :len(rep)] = geometry.distance(m, rows, xs[rep]) < DEDUPE_RADIUS
-        j = 0
-        while j < len(rows):
-            hits = near[j:, :len(rep)]
-            first = np.where(hits.any(axis=1), hits.argmax(axis=1), -1).tolist()
-            for j, k in enumerate(first, start=j):
-                if k < 0 or residuals[start + j] < residuals[rep[k]]:
-                    break
-            else:
-                break
-            if k < 0:
-                k = len(rep)
-                rep.append(start + j)
-            else:
-                rep[k] = start + j
-            near[:, k] = geometry.distance(m, rows, xs[[rep[k]]])[:, 0] < DEDUPE_RADIUS
-            j += 1
-    return xs[rep]
+        rows = xs[start:start + DEDUPE_BLOCK]
+        near = geometry.distance(m, rows[:, None], xs[kept]) < DEDUPE_RADIUS
+        left = np.flatnonzero(~near.any(axis=1))
+        while left.size:
+            kept.append(start + left[0])
+            # the kept row is at distance 0 from itself
+            left = left[~(geometry.distance(m, rows[left], rows[left[0]]) < DEDUPE_RADIUS)]
+    return xs[kept]
 
 
 def find_critical_points(field: ScalarField, m: geometry.ManifoldModel,

@@ -36,8 +36,7 @@ class UnknownIdentifierError(UsageError):
 
 
 class DimensionError(UsageError):
-    def __init__(self, message: str):
-        super().__init__(message)
+    """A variable count, dimension or grid size the manifold cannot take."""
 
 
 class DomainError(MorseflowError):

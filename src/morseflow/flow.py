@@ -405,36 +405,6 @@ def _scan(field, m, p, capture, t_max, backward=False):
     return trajs
 
 
-def _source_counts(field, m, p, sinks, points, capture, t_max, backward=False):
-    """ConnectionCount from index-1 p to each of `sinks`: p's seeds sinking
-    there; when `backward`, flowed backward from p of index n - 1.
-
-    A seed captured at a point whose index is not p's minus one (plus one
-    when `backward`) ran along a saddle connection, so the flow is not
-    Morse-Smale and its counts mean nothing: DomainError."""
-    trajs = _scan(field, m, p, capture, t_max, backward)
-    want = p.index + 1 if backward else p.index - 1
-    flagged = False
-    for traj in trajs:
-        if traj.sink_label is None:
-            flagged = True
-            warnings.warn(f"seed trajectory from index-1 point {p.id} unresolved",
-                          ResolutionWarning)
-        elif points[traj.sink_label].index != want:
-            q = points[traj.sink_label]
-            raise DomainError(
-                f"saddle connection: a seed of index-{p.index} point {p.id} is captured at "
-                f"index-{q.index} point {q.id}, so the flow is not Morse-Smale; "
-                "perturb the function by a small generic term")
-    out = []
-    for q in sinks:
-        reps = [traj for traj in trajs if traj.sink_label == q.id]
-        out.append(ConnectionCount(source=p.id, sink=q.id, count_mod2=len(reps) % 2,
-                                   raw_count=len(reps), representatives=reps,
-                                   flagged=flagged))
-    return out
-
-
 # --- counting from the index-1 end -------------------------------------------------
 
 def _reversed(traj: Trajectory) -> Trajectory:
@@ -451,30 +421,47 @@ def _count_pairs(field, m, pairs, points, t_max):
 
     Pairs of index (1, 0) are counted from p flowing f forwards, pairs of
     index (n, n-1) from q flowing f backwards; any other pair has no index-1
-    end and is refused before anything flows."""
+    end and is refused before anything flows.  Each end is scanned once, the
+    forward ends first, and each seed trajectory is filed under its (source,
+    sink) pair.  A count is flagged when a seed of its end is unresolved.  A
+    seed captured at a point whose index is not its end's minus one (plus
+    one backwards) ran along a saddle connection, so the flow is not
+    Morse-Smale and its counts mean nothing: DomainError."""
     for p, q in pairs:
         if p.index not in (1, m.n):
             raise SourceIndexError(
                 f"pair {p.id} -> {q.id} on {m.name} has source index {p.index} under f "
                 f"and {m.n - q.index} under -f; counting needs an index-1 source")
     capture = _capture_lookup(m, points)
-    direct, dual = {}, {}  # index-1 end -> the other ends
+
+    def end(p, q):              # a pair's index-1 end, and whether it flows backward
+        return (p, False) if p.index == 1 else (q, True)
+    ends = dict.fromkeys(sorted((end(p, q) for p, q in pairs), key=lambda e: e[1]))
+    filed, flagged = {}, set()
+    for e, backward in ends:
+        want = e.index + 1 if backward else e.index - 1
+        for traj in _scan(field, m, e, capture, t_max, backward):
+            if traj.sink_label is None:
+                flagged.add((e, backward))
+                warnings.warn(f"seed trajectory from index-1 point {e.id} unresolved",
+                              ResolutionWarning)
+                continue
+            q = points[traj.sink_label]
+            if q.index != want:
+                raise DomainError(
+                    f"saddle connection: a seed of index-{e.index} point {e.id} is captured "
+                    f"at index-{q.index} point {q.id}, so the flow is not Morse-Smale; "
+                    "perturb the function by a small generic term")
+            if backward:
+                traj = _reversed(traj)
+            filed.setdefault((traj.source_label, traj.sink_label), []).append(traj)
+    out = []
     for p, q in pairs:
-        if p.index == 1:
-            direct.setdefault(p.id, (p, []))[1].append(q)
-        else:
-            dual.setdefault(q.id, (q, []))[1].append(p)
-    found = {}
-    for p, sinks in direct.values():
-        for c in _source_counts(field, m, p, sinks, points, capture, t_max):
-            found[c.source, c.sink] = c
-    for q, sources in dual.values():
-        for c in _source_counts(field, m, q, sources, points, capture, t_max, backward=True):
-            found[c.sink, c.source] = ConnectionCount(
-                source=c.sink, sink=c.source, count_mod2=c.count_mod2,
-                raw_count=c.raw_count, flagged=c.flagged,
-                representatives=[_reversed(traj) for traj in c.representatives])
-    return [found[p.id, q.id] for p, q in pairs]
+        reps = filed.get((p.id, q.id), [])
+        out.append(ConnectionCount(source=p.id, sink=q.id, count_mod2=len(reps) % 2,
+                                   raw_count=len(reps), representatives=reps,
+                                   flagged=end(p, q) in flagged))
+    return out
 
 
 def count_connecting(field: ScalarField, m: geometry.ManifoldModel,

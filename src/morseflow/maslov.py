@@ -29,6 +29,7 @@ from .errors import (
 LAGRANGIAN_TOL = 1e-10
 CLOSURE_TOL = 1e-8
 RESIDUAL_TOL = 0.1
+MAX_ENTRY = 1e150        # largest frame entry magnitude accepted
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,11 @@ class LagrangianLoop:
                     raise UsageError(
                         f"{path}:{lineno}: expected {len(rows[0])} fields, "
                         f"got {len(row)}")
+                if not all(map(math.isfinite, row)):
+                    raise UsageError(f"{path}:{lineno}: row has an entry that is not finite")
+                if rows and not row[0] > rows[-1][0]:
+                    raise UsageError(f"{path}:{lineno}: theta {row[0]!r} does not exceed "
+                                     f"the previous theta {rows[-1][0]!r}")
                 rows.append(row)
         if not rows:
             raise LoopNotClosedError("empty loop file")
@@ -99,6 +105,11 @@ def validate_loop(loop: LagrangianLoop) -> np.ndarray:
         if fr.shape != first:
             raise NotLagrangianError(f"frame {k} has shape {fr.shape}, not frame 0's {first}")
     F = np.asarray(loop.frames)
+    # below MAX_ENTRY the product of two entries stays finite
+    wild = ~(np.abs(F) <= MAX_ENTRY).all(axis=(1, 2))
+    if wild.any():
+        raise NotLagrangianError(f"frame {wild.argmax()} has an entry that is not finite "
+                                 f"or exceeds {MAX_ENTRY:.0e} in magnitude")
     X, Y = F[:, :loop.n], F[:, loop.n:]
     # omega evaluated on all column pairs of every frame
     pairing = np.abs(X.transpose(0, 2, 1) @ Y - Y.transpose(0, 2, 1) @ X).max(axis=(1, 2))

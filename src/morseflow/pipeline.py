@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow, geometry, gf2chain
-from .critpoint import CriticalPoint, find_critical_points, verify_morse
+from .critpoint import find_critical_points, verify_morse
 from .errors import DimensionError, DomainError
 from .funcexpr import ScalarField
 
@@ -56,8 +56,7 @@ class MorseRun:
 
 
 def run_morse(field: ScalarField, m: geometry.ManifoldModel,
-              grid: int | None = None, t_max: float = flow.T_MAX_DEFAULT,
-              points: list[CriticalPoint] | None = None) -> MorseRun:
+              grid: int | None = None, t_max: float = flow.T_MAX_DEFAULT) -> MorseRun:
     """Critical points, connection counts, complex, ranks, inequalities.
 
     Refuses (DomainError) critical points no Morse function on m has: an
@@ -66,8 +65,7 @@ def run_morse(field: ScalarField, m: geometry.ManifoldModel,
     built on a flagged count, which is not a count of flow lines.
     """
     validate_field(field, m)
-    if points is None:
-        points = find_critical_points(field, m, grid)
+    points = find_critical_points(field, m, grid)
     chi = sum((-1) ** p.index for p in points)
     indices = sorted({p.index for p in points})
     if chi != m.euler or 0 not in indices or m.n not in indices:

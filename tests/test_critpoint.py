@@ -220,6 +220,98 @@ def test_dedupe_column_updates_match_restarting_blocks(monkeypatch, manifold, fu
     assert pts == critpoint.find_critical_points(f, m, grid)
 
 
+def test_dedupe_keeps_the_lowest_residual_row_even_when_it_comes_last():
+    m = geometry.torus(2)
+    xs = np.array([[0.3, 0.3], [0.3 + 1e-8, 0.3], [0.7, 0.1], [0.3 + 2e-8, 0.3]])
+    kept = critpoint._dedupe(m, xs, np.array([3e-11, 2e-11, 5e-11, 1e-11]))
+    assert kept.tolist() == [xs[3].tolist(), xs[2].tolist()]
+
+
+def test_dedupe_keeps_the_earlier_of_equal_residuals():
+    m = geometry.sphere(2)
+    xs = np.array([[0.0, 0.0, 1.0], [1e-9, 0.0, 1.0], [0.0, 0.0, -1.0], [-1e-9, 0.0, 1.0]])
+    kept = critpoint._dedupe(m, xs, np.array([2e-11, 1e-11, 1e-11, 1e-11]))
+    assert kept.tolist() == [xs[1].tolist(), xs[2].tolist()]
+
+
+def test_dedupe_takes_one_distance_call_per_block_and_per_further_point(monkeypatch):
+    # 600 rows, jittered copies of 10 points: rows 1..599 are 3 blocks
+    m = geometry.torus(2)
+    centers = np.array([[0.05 + 0.1 * k, 0.37] for k in range(10)])
+    xs = centers[np.arange(600) % 10] + np.arange(600)[:, None] * [1e-10, 0.0]
+    residuals = np.random.default_rng(7).uniform(1e-13, 1e-11, 600)
+    calls = []
+    distance = geometry.distance
+
+    def counting(*args):
+        calls.append(args)
+        return distance(*args)
+    monkeypatch.setattr(geometry, "distance", counting)
+    kept = critpoint._dedupe(m, xs, residuals)
+    assert len(calls) == 3 + 10 - 1
+    best = [min(range(k, 600, 10), key=lambda i: residuals[i]) for k in range(10)]
+    assert sorted(kept.tolist()) == sorted(xs[best].tolist())
+
+
+def _line_search_every_halving(field, m, rows, step, X, G, g, gsq):
+    """The reference search: every pending row evaluates the gradient at all
+    40 halvings of each direction, even where its candidate no longer moves."""
+    pending = np.arange(len(rows))
+    for direction in (step, -g[rows]):
+        t = 1.0
+        for _ in range(40):
+            if not pending.size:
+                break
+            at = rows[pending]
+            cand = X[at] + t * direction[pending]
+            if m.kind != "torus":
+                r = np.linalg.norm(cand, axis=1, keepdims=True)
+                cand = cand / r
+            Gc, gc = critpoint._gradients(field, m, cand)
+            gcsq = np.sum(gc * gc, axis=1)
+            ok = (gcsq < gsq[at] * (1.0 - 1e-4 * t)) | (gcsq <= 1e-24)
+            if m.kind != "torus":
+                ok &= r[:, 0] >= 1e-12
+            X[at[ok]], G[at[ok]], g[at[ok]], gsq[at[ok]] = cand[ok], Gc[ok], gc[ok], gcsq[ok]
+            pending = pending[~ok]
+            t *= 0.5
+    return rows[pending]
+
+
+ROUNDING_FLOOR_CIRCLES = [
+    ("circle", "1e4*cos(2*pi*x1)", None),
+    ("circle", "cos(2*pi*16*x1) + 0.2*sin(2*pi*x1)", 128),
+]
+
+
+@pytest.mark.parametrize("manifold,function,grid", [
+    ("torusN:5", "cos(2*pi*x1) + cos(2*pi*x5)", 6),
+    ("torus2", "cos(2*pi*x1)", None),
+    ("sphere2", "x3^2", None),
+    ("torus2", "cos(2*pi*x1) + cos(2*pi*x2) + 0.061803*cos(2*pi*(x1 + x2))", None),
+    ("rp2", "(0.912345*x2^2 + 2.234567*x3^2 - 0.031234*x2*x3)/(x1^2 + x2^2 + x3^2)", None),
+    *ROUNDING_FLOOR_CIRCLES,
+])
+def test_line_search_leaving_still_rows_matches_every_halving(monkeypatch, manifold,
+                                                              function, grid):
+    m = geometry.parse_manifold(manifold)
+    f = ScalarField.from_text(function, m.ambient_dim)
+    batches = []
+    gradients = critpoint._gradients
+
+    def counting(*args):
+        batches.append(len(args[2]))
+        return gradients(*args)
+    monkeypatch.setattr(critpoint, "_gradients", counting)
+    pts = critpoint.find_critical_points(f, m, grid)
+    fast = len(batches)
+    monkeypatch.setattr(critpoint, "_line_search", _line_search_every_halving)
+    assert pts == critpoint.find_critical_points(f, m, grid)
+    assert fast <= len(batches) - fast
+    if (manifold, function, grid) in ROUNDING_FLOOR_CIRCLES:
+        assert 2 * fast <= len(batches) - fast
+
+
 def test_degenerate_points_share_an_index():
     # the equator of x3^2 is a circle of minima: one zero eigenvalue, whose
     # sign is rounding noise, and one positive one

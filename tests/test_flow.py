@@ -609,3 +609,30 @@ def test_far_torus_start_is_reduced_mod_1(torus):
     near = flow.integrate(f, m, (0.0, 0.3), points=pts)
     assert far.points == near.points and far.times == near.times
     assert (far.sink_label, far.energy) == (near.sink_label, near.energy)
+
+
+@pytest.mark.parametrize("text, name, scans", [
+    # two saddles, each scanned forward and backward
+    ("cos(2*pi*x1) + cos(2*pi*x2) + 0.05*cos(2*pi*(x1 + x2))", "torus2",
+     [(1, False), (2, False), (1, True), (2, True)]),
+    # one saddle: forward for the (1, 0) pair, backward for the (2, 1) pair
+    ("(0.912345*x2^2 + 2.234567*x3^2 - 0.031234*x2*x3)/(x1^2 + x2^2 + x3^2)", "rp2",
+     [(1, False), (1, True)]),
+])
+def test_each_index1_end_is_scanned_once_per_direction(monkeypatch, text, name, scans):
+    m = geometry.parse_manifold(name)
+    f = ScalarField.from_text(text, m.ambient_dim)
+    pts = critpoint.find_critical_points(f, m)
+    seen = []
+    original = flow._scan
+
+    def counting(field, m, p, capture, t_max, backward=False):
+        seen.append((p.id, backward))
+        return original(field, m, p, capture, t_max, backward)
+    monkeypatch.setattr(flow, "_scan", counting)
+    counts = flow.connection_counts(f, m, pts)
+    assert seen == scans
+    assert sum(c.raw_count for c in counts) == 2 * len(scans)
+    for c in counts:
+        assert all((r.source_label, r.sink_label) == (c.source, c.sink)
+                   for r in c.representatives)

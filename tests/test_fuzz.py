@@ -62,7 +62,8 @@ BROKEN = ([],) * 20 + (["--tmax", "0"], ["--epsilon", "nan"], ["--grid", "1"],
 # squares overflow
 EXTREME = (math.nan, math.inf, -math.inf, 1e308, -1e308, 1.7976931348623157e308)
 
-LOOPS = ("half_turn.csv", "broken.csv", "missing.csv")
+LOOPS = ("half_turn.csv", "broken.csv", "missing.csv", "nan.csv", "inf.csv", "huge.csv",
+         "reversed.csv")
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +72,12 @@ def loop_dir(tmp_path_factory):
     rows = [",".join(repr(float(v)) for v in (t, np.cos(np.pi * t), np.sin(np.pi * t)))
             for t in np.linspace(0.0, 1.0, 33)]
     (d / "half_turn.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    # frame 4 scaled to nan, inf and 1e308, and the rows in reverse theta order
+    t = 0.125
+    for name, c in (("nan.csv", math.nan), ("inf.csv", math.inf), ("huge.csv", 1e308)):
+        frame4 = ",".join(repr(v) for v in (t, c * math.cos(math.pi * t), c * math.sin(math.pi * t)))
+        (d / name).write_text("\n".join(rows[:4] + [frame4] + rows[5:]) + "\n", encoding="utf-8")
+    (d / "reversed.csv").write_text("\n".join(rows[::-1]) + "\n", encoding="utf-8")
     (d / "broken.csv").write_text("0,1\nnot,a,number\n", encoding="utf-8")
     return d
 

@@ -6,12 +6,15 @@ of Lagrangian frames with index sum(k_j), read off the construction.
 """
 
 import cmath
+import contextlib
+import io
 import math
+import re
 
 import numpy as np
 import pytest
 
-from morseflow import maslov
+from morseflow import cli, maslov
 from morseflow.errors import (
     LoopNotClosedError,
     NotLagrangianError,
@@ -307,3 +310,60 @@ def test_csv_frames_are_the_sampled_frames(tmp_path):
     back = maslov.LagrangianLoop.from_csv(str(path))
     assert back.thetas == loop.thetas
     assert all(np.array_equal(a, b) and a.shape == (6, 3) for a, b in zip(back.frames, loop.frames))
+
+
+# --- non-finite and out-of-order loop files ------------------------------------------
+
+def _half_turn_rows(samples=17):
+    """[theta, x, y] rows of the half-turn line loop, index 1."""
+    return [[float(t), math.cos(math.pi * t), math.sin(math.pi * t)]
+            for t in np.linspace(0.0, 1.0, samples)]
+
+
+def _probe(rows, k, j, value):
+    rows[k][j] = value
+    return rows
+
+
+def _reversed_thetas(rows):
+    for row, t in zip(rows, [row[0] for row in rows][::-1]):
+        row[0] = t
+    return rows
+
+
+@pytest.mark.parametrize("rows,code,message", [
+    # frame k is line k + 1 of a file without a header
+    (_probe(_half_turn_rows(), 4, 1, math.nan), 2, r":5: row has an entry that is not finite"),
+    (_probe(_half_turn_rows(), 4, 2, math.inf), 2, r":5: row has an entry that is not finite"),
+    (_probe(_half_turn_rows(), 8, 1, math.nan), 2, r":9: row has an entry that is not finite"),
+    (_probe(_half_turn_rows(), 8, 2, -math.inf), 2, r":9: row has an entry that is not finite"),
+    (_probe(_half_turn_rows(), 8, 0, math.nan), 2, r":9: row has an entry that is not finite"),
+    (_probe(_half_turn_rows(), 8, 0, 0.4375), 2,
+     r":9: theta 0\.4375 does not exceed the previous theta 0\.4375"),
+    (_reversed_thetas(_half_turn_rows()), 2, r":2: theta 0\.9375 does not exceed the previous"),
+    # still a Lagrangian line, but its pairing would overflow
+    ([[t, 1e308 * x, 1e308 * y] if k == 4 else [t, x, y]
+      for k, (t, x, y) in enumerate(_half_turn_rows())], 1,
+     r"frame 4 has an entry that is not finite or exceeds 1e\+150 in magnitude"),
+])
+def test_non_finite_or_unordered_loop_files_refused(tmp_path, rows, code, message):
+    path = tmp_path / "loop.csv"
+    path.write_text("".join(",".join(repr(v) for v in row) + "\n" for row in rows),
+                    encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.main(["maslov", "--loop", str(path)]) == code
+    assert out.getvalue() == ""
+    kind = "usage error" if code == 2 else "error"
+    assert re.fullmatch(f"morseflow: {kind}: .*{message}.*\n", err.getvalue())
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1e151])
+def test_non_finite_or_huge_frames_refused_before_the_pairing(value):
+    samples = [(t, np.array([[x], [y]])) for t, x, y in _half_turn_rows()]
+    samples[8][1][1, 0] = value
+    loop = maslov.LagrangianLoop.from_samples(samples)
+    with pytest.raises(NotLagrangianError, match="^frame 8 has an entry"):
+        maslov.validate_loop(loop)
+    samples[8][1][1, 0] = 1e150          # the largest magnitude accepted
+    assert maslov.maslov_index(maslov.LagrangianLoop.from_samples(samples)) == 1
