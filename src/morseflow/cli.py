@@ -286,8 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--manifold", help=geometry.MANIFOLD_NAMES)
         p.add_argument("--function", help="scalar field expression in x1..xn")
         p.add_argument("--grid", type=int, help="seed grid resolution")
-        p.add_argument("--epsilon", type=float, default=0.05, help="Hamiltonian pushoff size")
-        p.add_argument("--tmax", type=float, default=200.0, help="integration time limit")
+        p.add_argument("--epsilon", type=float, default=floer_mod.EPSILON_DEFAULT,
+                       help="Hamiltonian pushoff size")
+        p.add_argument("--tmax", type=float, default=flow_mod.T_MAX_DEFAULT,
+                       help="integration time limit")
         p.add_argument("--out", choices=("json", "csv") if name in ("critpoints", "flow")
                        else ("json",), default="csv" if name == "flow" else "json",
                        help="output format")

@@ -43,14 +43,6 @@ class CriticalPoint:
     id: int = -1             # position in the sorted list, set by the sweep
 
 
-def gradient_residual(field: ScalarField, m: geometry.ManifoldModel, point) -> float:
-    x = geometry.working_point(m, point)
-    g = np.asarray(field.gradient(x))
-    if m.kind != "torus":
-        g = g - np.dot(g, x) * x
-    return float(np.linalg.norm(g))
-
-
 def hessian_in_frame(field: ScalarField, m: geometry.ManifoldModel, point) -> np.ndarray:
     """Symmetric Hessian matrix in chart / orthonormal tangent frame coordinates."""
     x = geometry.working_point(m, point)
@@ -64,20 +56,30 @@ def hessian_in_frame(field: ScalarField, m: geometry.ManifoldModel, point) -> np
 
 
 def classify(field: ScalarField, m: geometry.ManifoldModel, point) -> CriticalPoint:
-    """Build a CriticalPoint record; the gradient must already be < 1e-10."""
-    res = gradient_residual(field, m, point)
+    """Build a CriticalPoint record; the gradient must already be < 1e-10
+    and f defined at the point (the derivative of log u is finite where
+    u < 0, so Newton converges there too)."""
+    x = geometry.working_point(m, point)
+    g = np.asarray(field.gradient(x))
+    if m.kind != "torus":
+        g = g - np.dot(g, x) * x
+    res = float(np.linalg.norm(g))
     if res > RESIDUAL_TOL:
         raise NotCriticalError(
             f"gradient residual {res:.3e} exceeds {RESIDUAL_TOL:.0e} at {tuple(point)}")
+    loc = tuple(float(v) for v in geometry.canonicalize(m, point))
+    try:
+        field.value(x)
+    except DomainError as exc:
+        raise DomainError(f"f is undefined at the critical point {loc}: {exc}", loc) from exc
     H = hessian_in_frame(field, m, point)
     eig = np.linalg.eigh(H)[0]
     scale = max(float(np.max(np.abs(eig))), 1e-30)
     nondeg = bool(np.min(np.abs(eig)) > DEGENERACY_REL * scale)
     # within the degeneracy threshold the sign of an eigenvalue is rounding noise
     index = int(np.sum(eig < -DEGENERACY_REL * scale))
-    loc = geometry.canonicalize(m, point)
     return CriticalPoint(
-        location=tuple(float(v) for v in loc),
+        location=loc,
         index=index,
         eigenvalues=tuple(float(v) for v in eig),
         residual=res,

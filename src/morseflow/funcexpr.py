@@ -8,10 +8,11 @@ sqrt are the only functions.  Digits and identifiers are ASCII, and a
 literal that overflows a float is a syntax error, as is nesting or an
 AST deeper than MAX_DEPTH levels.
 
-Differentiation is symbolic on the AST (no dual numbers); evaluation
-is either tree-walking (`eval_expr`) or compiled once to plain Python
-code (`compile_tuple`) for the integrator hot loop, bound (`bind`) over
-`math` for scalars and over numpy for arrays.
+Differentiation is symbolic on the AST (no dual numbers).  Evaluation
+is compiled only: each tuple of expressions becomes plain Python code
+once (`compile_tuple`), bound (`bind`) over `math` for scalars and over
+numpy for arrays.  The tree-walking oracle the compiled code is checked
+against bitwise lives with the tests.
 """
 
 from __future__ import annotations
@@ -297,75 +298,6 @@ def parse(text: str, dim: int) -> Expr:
     return _Parser(text, dim).parse()
 
 
-# --- printing ----------------------------------------------------------------
-
-def to_string(e: Expr) -> str:
-    """Fully parenthesized rendering; parse(to_string(e)) == e."""
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Pi):
-        return "pi"
-    if isinstance(e, Var):
-        return f"x{e.index}"
-    if isinstance(e, Neg):
-        return f"(-{to_string(e.arg)})"
-    if type(e) in _OPERATORS:
-        return f"({to_string(e.left)} {_OPERATORS[type(e)]} {to_string(e.right)})"
-    if isinstance(e, Pow):
-        return f"({to_string(e.base)} ^ {e.exponent})"
-    if isinstance(e, Call):
-        return f"{e.name}({to_string(e.arg)})"
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-# --- evaluation ---------------------------------------------------------------
-
-def eval_expr(e: Expr, point) -> float:
-    """Tree-walking evaluation at `point` (sequence indexed from 0)."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Pi):
-        return math.pi
-    if isinstance(e, Var):
-        return float(point[e.index - 1])
-    if isinstance(e, Neg):
-        return -eval_expr(e.arg, point)
-    if isinstance(e, Add):
-        return eval_expr(e.left, point) + eval_expr(e.right, point)
-    if isinstance(e, Sub):
-        return eval_expr(e.left, point) - eval_expr(e.right, point)
-    if isinstance(e, Mul):
-        return eval_expr(e.left, point) * eval_expr(e.right, point)
-    if isinstance(e, Div):
-        num = eval_expr(e.left, point)
-        den = eval_expr(e.right, point)
-        if den == 0.0:
-            raise DomainError(f"division by zero in {to_string(e)}", point)
-        return num / den
-    if isinstance(e, Pow):
-        b = eval_expr(e.base, point)
-        if b == 0.0 and e.exponent < 0:
-            raise DomainError(f"zero base with negative exponent in {to_string(e)}", point)
-        return b ** e.exponent
-    if isinstance(e, Call):
-        x = eval_expr(e.arg, point)
-        if e.name == "sin":
-            return math.sin(x)
-        if e.name == "cos":
-            return math.cos(x)
-        if e.name == "exp":
-            return math.exp(x)
-        if e.name == "log":
-            if x <= 0.0:
-                raise DomainError(f"log of non-positive value {x}", point)
-            return math.log(x)
-        if e.name == "sqrt":
-            if x < 0.0:
-                raise DomainError(f"sqrt of negative value {x}", point)
-            return math.sqrt(x)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 # --- differentiation -----------------------------------------------------------
 
 def _is_zero(e: Expr) -> bool:
@@ -468,8 +400,8 @@ def _source(exprs, dim: int) -> str:
     """Python source of `def _f(x1, ..., x<dim>)` returning the tuple of exprs.
 
     Each distinct operation on distinct operands is computed once, into a
-    temporary, as `eval_expr` computes it, so results are bitwise those of
-    `eval_expr` under the same functions.
+    temporary, as a walk of the tree computes it, so results are bitwise
+    those of such a walk under the same functions.
     """
     lines: list = []
     temps: dict = {}   # code of one operation -> its temporary
@@ -526,10 +458,10 @@ class ScalarField:
     DomainError, never a numpy warning.
     """
 
-    def __init__(self, expr: Expr, dim: int, text: str | None = None):
+    def __init__(self, expr: Expr, dim: int, text: str):
         self.expr = expr
         self.dim = dim
-        self.text = text if text is not None else to_string(expr)
+        self.text = text
         self.partials = tuple(differentiate(expr, i) for i in range(1, dim + 1))
         self.second = tuple(
             tuple(differentiate(self.partials[i], j + 1) for j in range(dim))

@@ -88,6 +88,11 @@ def parse_manifold(name: str) -> ManifoldModel:
             k = int(name.split(":", 1)[1])
         except ValueError:
             raise UnknownManifoldError(f"bad torus dimension in '{name}'")
+        fit = MAX_SEEDS.bit_length() - 1
+        if k > fit:
+            raise DimensionError(
+                f"torusN:{k}: the smallest seed grid, 2, gives 2^{k} seeds, more than "
+                f"{MAX_SEEDS}; the largest torusN:k that fits is torusN:{fit}")
         return torus(k)
     if name == "circle":
         return torus(1)

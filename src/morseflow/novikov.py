@@ -19,7 +19,6 @@ the truncation level.
 from __future__ import annotations
 
 import math
-import re
 
 from .errors import TruncationExhaustedError, TruncationMismatchError
 
@@ -143,23 +142,6 @@ def format_novikov(a: NovikovElement) -> str:
         return str(int(e)) if e == int(e) else repr(e)
 
     return " + ".join(f"T^{fmt(e)}" for e in a.exponents)
-
-
-_TERM_RE = re.compile(r"^T\^(.+)$")
-
-
-def parse_novikov(text: str, cmax: float = CMAX_DEFAULT) -> NovikovElement:
-    text = text.strip()
-    if text == "0":
-        return NovikovElement.zero(cmax)
-    exps = []
-    for tok in text.split("+"):
-        tok = tok.strip()
-        m = _TERM_RE.match(tok)
-        if not m:
-            raise ValueError(f"bad Novikov term {tok!r}")
-        exps.append(float(m.group(1)))
-    return NovikovElement(exps, cmax)
 
 
 def lambda_rank(matrix) -> int:

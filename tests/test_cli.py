@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from morseflow import cli, geometry, maslov
+from morseflow import cli, floer, flow, geometry, maslov
 from morseflow.funcexpr import ScalarField
 
 TORUS_ARGS = ["--manifold", "torus2", "--function", "cos(2*pi*x1) + cos(2*pi*x2)"]
@@ -147,6 +147,40 @@ def test_seed_grid_limit(capsys):
     assert code == 0
     indices = [json.loads(line)["index"] for line in out.splitlines()[1:]]
     assert [indices.count(k) for k in range(5)] == [1, 4, 6, 4, 1]
+
+
+def test_torus_dimension_no_seed_grid_fits_refused(capsys):
+    # the smallest grid, 2, gives 2^k seeds: refused before the field is built
+    for k in (17, 1_000_000):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, ["critpoints", "--manifold", f"torusN:{k}",
+                                          "--function", "x1"])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith(f"morseflow: usage error: torusN:{k}:")
+        assert "the largest torusN:k that fits is torusN:16" in err
+    assert geometry.parse_manifold("torusN:16") == geometry.torus(16)
+
+
+@pytest.mark.parametrize("cmd", ["critpoints", "connections", "homology"])
+@pytest.mark.parametrize("manifold,function,at", [
+    # the derivative of log u is u'/u, finite where u < 0, so Newton
+    # converges at x1 = 0.5 where f = log(-1) or log(-0.5)
+    ("circle", "log(cos(2*pi*x1))", "(0.5,)"),
+    ("torus2", "log(cos(2*pi*x1)+0.5) + cos(2*pi*x2)", "(0.5, "),
+])
+def test_critical_point_where_f_is_undefined_refused(capsys, cmd, manifold, function, at):
+    code, out, err = run_cli(capsys, [cmd, "--manifold", manifold, "--function", function])
+    assert code == 1 and out == ""
+    assert err.startswith(f"morseflow: error: f is undefined at the critical point {at}")
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+    for cmd in cli._DISPATCH:
+        ns = parser.parse_args([cmd])
+        assert ns.epsilon == floer.EPSILON_DEFAULT
+        assert ns.tmax == flow.T_MAX_DEFAULT
 
 
 @pytest.mark.parametrize("argv,needle", [

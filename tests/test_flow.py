@@ -464,7 +464,7 @@ def test_backward_flow_is_the_flow_of_minus_f(m, text):
     # saddle's seeds; that is bitwise the flow of an explicit -f field from
     # the seeds of its Hessian, up to the sign of zeros
     f = ScalarField.from_text(text, m.ambient_dim)
-    neg = ScalarField(Neg(f.expr), f.dim)
+    neg = ScalarField(Neg(f.expr), f.dim, f"-({text})")
     pts = critpoint.find_critical_points(f, m)
     capture = flow._capture_lookup(m, pts)
     reps = {(c.source, c.sink): [(r.times, r.points) for r in c.representatives]
