@@ -221,19 +221,17 @@ def _cmd_floer(ns: argparse.Namespace) -> str:
         raise UsageError(f"floer requires --base ({geometry.MANIFOLD_NAMES})")
     field, m = _field_on(ns, base)
     run = run_morse(field, m, grid=ns.grid, t_max=ns.tmax)
-    fc = floer_mod.build_floer_complex(field, m, run.counts, epsilon=ns.epsilon,
-                                       points=run.points)
+    fc = floer_mod.build_floer_complex(run.points, run.counts, epsilon=ns.epsilon)
     hf = floer_mod.hf_ranks(fc)
     t1_ok = fc.mod2_matrices() == run.complex.matrices
     reps = [traj for c in run.counts for traj in c.representatives]
+    weights = floer_mod.strip_area_check(field, m, reps, epsilon=ns.epsilon, points=run.points)
     strip_checks = [{"source": w.source, "sink": w.sink, "analytic": w.analytic,
-                     "quadrature": w.quadrature, "agrees": w.agrees}
-                    for w in floer_mod.strip_area_check(field, m, reps, epsilon=ns.epsilon,
-                                                        points=run.points)]
+                     "quadrature": w.quadrature, "agrees": w.agrees} for w in weights]
     return _json_report({
         "config": _report_config(ns),
         "generators": {str(k): v for k, v in fc.morse.generators.items()},
-        "f_values": {str(k): v for k, v in sorted(fc.f_values.items())},
+        "f_values": {str(p.id): p.value for p in run.points},
         "differential": {str(k): [[novikov.format_novikov(e) for e in row]
                                   for row in rows]
                          for k, rows in fc.matrices.items()},

@@ -3,9 +3,9 @@
 Newton's method on the gradient, damped by a backtracking line search on
 |grad f|^2, is run from a deterministic seed grid; converged rows are
 taken in order of residual, each point keeps its first lowest-residual
-row, and the points are classified by the spectrum of the Hessian.  The
-sweep is batched: every live seed takes its Newton step in one stacked
-solve over numpy evaluations, then runs its own Armijo line search.
+row, and the points are classified by the Hessian's spectrum and keep
+f at their canonical location.  Batched, every live seed takes its
+Newton step in one stacked solve, then its own Armijo line search.
 
 On the sphere (and on the RP^n double cover) the relevant operator is the
 intrinsic Hessian of the restriction: in an orthonormal tangent frame P at
@@ -40,6 +40,7 @@ class CriticalPoint:
     eigenvalues: tuple       # ascending
     residual: float          # gradient norm (tangent-projected off the torus)
     nondegenerate: bool
+    value: float             # f at working_point(m, location)
     id: int = -1             # position in the sorted list, set by the sweep
 
 
@@ -58,7 +59,7 @@ def hessian_in_frame(field: ScalarField, m: geometry.ManifoldModel, point) -> np
 def classify(field: ScalarField, m: geometry.ManifoldModel, point) -> CriticalPoint:
     """Build a CriticalPoint record; the gradient must already be < 1e-10
     and f defined at the point (the derivative of log u is finite where
-    u < 0, so Newton converges there too)."""
+    u < 0, so Newton converges there too); f is read at the canonical point."""
     x = geometry.working_point(m, point)
     g = np.asarray(field.gradient(x))
     if m.kind != "torus":
@@ -69,7 +70,7 @@ def classify(field: ScalarField, m: geometry.ManifoldModel, point) -> CriticalPo
             f"gradient residual {res:.3e} exceeds {RESIDUAL_TOL:.0e} at {tuple(point)}")
     loc = tuple(float(v) for v in geometry.canonicalize(m, point))
     try:
-        field.value(x)
+        value = field.value(geometry.working_point(m, loc))
     except DomainError as exc:
         raise DomainError(f"f is undefined at the critical point {loc}: {exc}", loc) from exc
     H = hessian_in_frame(field, m, point)
@@ -84,6 +85,7 @@ def classify(field: ScalarField, m: geometry.ManifoldModel, point) -> CriticalPo
         eigenvalues=tuple(float(v) for v in eig),
         residual=res,
         nondegenerate=nondeg,
+        value=value,
     )
 
 

@@ -6,11 +6,12 @@ project to negative gradient trajectories, so the differential entry
 from p down to q is T^{eps (f(p) - f(q))} exactly when the mod-2 count
 of connecting trajectories is 1.  No Cauchy-Riemann equation is solved:
 the correspondence supplies the strip geometry.  build_floer_complex
-therefore lifts the GF(2) Morse complex itself: the generators and
-degrees are its, and each set bit gets its action exponent.  Every path
-from p down to r carries T^{eps (f(p) - f(r))}, so the lift squares to
-zero exactly when the Morse complex does, and hf_ranks checks d^2 = 0
-mod 2 before it takes the ranks over the field with lambda_rank.
+therefore lifts the GF(2) Morse complex from Morse data alone: the
+generators and degrees are its, and each set bit gets its action
+exponent from the points' critical values.  Every path from p down to
+r carries T^{eps (f(p) - f(r))}, so the lift squares to zero exactly
+when the Morse complex does, and hf_ranks checks d^2 = 0 mod 2 before
+it takes the ranks over the field with lambda_rank.
 
 strip_area_check validates the exponents: the strip swept by applying
 the fiber-translation Hamiltonian flow phi_t(x, y) = (x, y + t eps df_x)
@@ -54,7 +55,6 @@ AREA_RTOL = 1e-6
 class FloerComplex:
     morse: ChainComplexGF2  # the Morse complex it lifts: generators, degrees, bits
     matrices: dict          # degree k -> list of rows of NovikovElement
-    f_values: dict          # id -> f at the critical point
     epsilon: float
     cmax: float
 
@@ -78,28 +78,26 @@ class ActionWeight:
         return abs(self.analytic - self.quadrature) <= AREA_RTOL * (1.0 + abs(self.analytic))
 
 
-def build_floer_complex(field: ScalarField, m: geometry.ManifoldModel,
-                        counts: list[ConnectionCount], epsilon: float = EPSILON_DEFAULT,
-                        cmax: float = novikov.CMAX_DEFAULT, *,
-                        points: list[CriticalPoint]) -> FloerComplex:
+def build_floer_complex(points: list[CriticalPoint], counts: list[ConnectionCount],
+                        epsilon: float = EPSILON_DEFAULT,
+                        cmax: float = novikov.CMAX_DEFAULT) -> FloerComplex:
     """Lift the Morse complex of `points` and `counts` (the ids of both index
-    `points`): each set bit from p down to q becomes T^{epsilon (f(p) - f(q))}.
+    `points`): each set bit from p down to q becomes T^{epsilon (p.value - q.value)}.
 
     Raises DomainError when epsilon * (max f - min f) over the critical
     points is not finite: some action drop would overflow."""
     morse = build_complex(points, counts)  # validates coverage and grading
-    fvals = {p.id: field.value(geometry.working_point(m, p.location)) for p in points}
-    spread = epsilon * (max(fvals.values()) - min(fvals.values()))
+    value = {p.id: p.value for p in points}
+    spread = epsilon * (max(value.values()) - min(value.values()))
     if not math.isfinite(spread):
         raise DomainError(f"action drops overflow: epsilon * (max f - min f) = {spread}")
     gens = morse.generators
-    matrices = {k: [[novikov.NovikovElement.term(epsilon * (fvals[p] - fvals[q]), cmax)
+    matrices = {k: [[novikov.NovikovElement.term(epsilon * (value[p] - value[q]), cmax)
                      if d.entry(i, j) else novikov.NovikovElement.zero(cmax)
                      for j, p in enumerate(gens[k])]
                     for i, q in enumerate(gens[k - 1])]
                 for k, d in morse.matrices.items()}
-    return FloerComplex(morse=morse, matrices=matrices, f_values=fvals,
-                        epsilon=epsilon, cmax=cmax)
+    return FloerComplex(morse=morse, matrices=matrices, epsilon=epsilon, cmax=cmax)
 
 
 def hf_ranks(fc: FloerComplex) -> HomologyRanks:
@@ -205,7 +203,7 @@ def strip_area_check(field: ScalarField, m: geometry.ManifoldModel,
     trajectory at a time, DomainError when the area is not finite and
     QuadratureFailureError when the Richardson estimate from the two areas
     cannot certify the tolerance.  The trajectories' labels index `points`,
-    the point list of the sweep that counted them.
+    the sweep's point list, whose values give the action drops.
     """
     if any(t.source_label is None or t.sink_label is None for t in trajs):
         raise QuadratureFailureError("trajectory endpoints are unresolved")
@@ -213,8 +211,8 @@ def strip_area_check(field: ScalarField, m: geometry.ManifoldModel,
         return []
     lifts = {i: geometry.working_point(m, points[i].location)
              for t in trajs for i in (t.source_label, t.sink_label)}
-    f_at = {i: field.value(y) for i, y in lifts.items()}
-    analytic = [float(epsilon * (f_at[t.source_label] - f_at[t.sink_label])) for t in trajs]
+    analytic = [float(epsilon * (points[t.source_label].value - points[t.sink_label].value))
+                for t in trajs]
     for a in analytic:
         if not math.isfinite(a):
             raise DomainError(f"action drop epsilon * (f(p) - f(q)) = {a} is not finite")

@@ -94,10 +94,13 @@ class Trajectory:
 class ConnectionCount:
     source: int
     sink: int
-    count_mod2: int
     raw_count: int
     representatives: list = dataclass_field(default_factory=list)
     flagged: bool = False
+
+    @property
+    def count_mod2(self) -> int:
+        return self.raw_count % 2
 
 
 # --- Dormand-Prince 5(4), compiled per manifold model ------------------------------
@@ -285,8 +288,8 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
     t_max elapses before any capture ball claims the endpoint, or when the
     flow stays slower than CAPTURE_RADIUS outside every ball for STALL_STEPS
     accepted steps, and
-    StepCollapseError when the adaptive step underflows or when
-    STEPS_PER_TIME * max(t_max, 10) steps do not reach t_max.
+    StepCollapseError when the adaptive step underflows short of t_max or
+    when STEPS_PER_TIME * max(t_max, 10) steps do not reach t_max.
     """
     if capture is None:
         capture = _capture_lookup(m, points)
@@ -320,7 +323,7 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
     while t < t_max and dwell < CAPTURE_DWELL and stalled < STALL_STEPS:
         h = min(h, H_MAX, t_max - t)
         steps += 1
-        if h < 1e-14 * max(1.0, abs(t)) or steps > max_steps:
+        if (h < 1e-14 * max(1.0, abs(t)) and h < t_max - t) or steps > max_steps:
             raise StepCollapseError(f"step size collapsed at t={t} after {steps - 1} steps")
         y_new, k7, err = step(y, k1, sign * h)
         if err <= 1.0:
@@ -458,9 +461,8 @@ def _count_pairs(field, m, pairs, points, t_max):
     out = []
     for p, q in pairs:
         reps = filed.get((p.id, q.id), [])
-        out.append(ConnectionCount(source=p.id, sink=q.id, count_mod2=len(reps) % 2,
-                                   raw_count=len(reps), representatives=reps,
-                                   flagged=end(p, q) in flagged))
+        out.append(ConnectionCount(source=p.id, sink=q.id, raw_count=len(reps),
+                                   representatives=reps, flagged=end(p, q) in flagged))
     return out
 
 

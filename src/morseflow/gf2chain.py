@@ -98,7 +98,7 @@ def build_complex(points: list[CriticalPoint],
         if by_id[c.source].index - by_id[c.sink].index != 1:
             raise IndexMismatchError(
                 f"count ({c.source} -> {c.sink}) does not drop the index by one")
-        table[(c.source, c.sink)] = c.count_mod2 % 2
+        table[(c.source, c.sink)] = c.count_mod2
 
     top = max(p.index for p in points)
     gens = {k: [p.id for p in points if p.index == k] for k in range(top + 1)}

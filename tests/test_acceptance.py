@@ -138,9 +138,8 @@ def test_criterion_05_morse_inequalities_and_euler(capsys, torus_bundle, sphere_
 
 
 def test_criterion_06_floer_ranks_and_t1_reduction(capsys, torus_bundle):
-    field, m, run, _ = torus_bundle
-    fc = floer.build_floer_complex(field, m, run.counts, epsilon=0.05,
-                                   points=run.points)
+    _, _, run, _ = torus_bundle
+    fc = floer.build_floer_complex(run.points, run.counts, epsilon=0.05)
     hf = floer.hf_ranks(fc)
     ok = hf.total == 4
     reduced = fc.mod2_matrices()
@@ -151,8 +150,7 @@ def test_criterion_06_floer_ranks_and_t1_reduction(capsys, torus_bundle):
     cfield = ScalarField.from_text("cos(2*pi*x1)", 1)
     cm = geometry.parse_manifold("circle")
     crun = pipeline.run_morse(cfield, cm)
-    cfc = floer.build_floer_complex(cfield, cm, crun.counts, epsilon=0.05,
-                                    points=crun.points)
+    cfc = floer.build_floer_complex(crun.points, crun.counts, epsilon=0.05)
     chf = floer.hf_ranks(cfc)
     ok = ok and chf.total == 2
     creduced = cfc.mod2_matrices()
@@ -269,9 +267,8 @@ def test_criterion_09_maslov_index(capsys):
 
 
 def test_criterion_10_arnold_bound(capsys, torus_bundle, sphere_bundle):
-    field, m, run, _ = torus_bundle
-    fc = floer.build_floer_complex(field, m, run.counts, epsilon=0.05,
-                                   points=run.points)
+    _, _, run, _ = torus_bundle
+    fc = floer.build_floer_complex(run.points, run.counts, epsilon=0.05)
     t2 = floer.arnold_bound(floer.hf_ranks(fc))
     s2 = floer.arnold_bound(sphere_bundle[2].ranks)
     ok = t2 == 4 and s2 == 2

@@ -505,6 +505,25 @@ def test_non_finite_start_is_usage_error_before_the_sweep(capsys, monkeypatch, a
     assert err.startswith("morseflow: usage error: --from")
 
 
+@pytest.mark.parametrize("tmax", ["1e-15", "1e-300"])
+def test_tmax_below_the_step_floor_is_one_short_step(capsys, tmax):
+    # the one step is cut to t_max, below the 1e-14 floor of a collapsed step
+    code, out, err = run_cli(capsys, ["flow"] + TORUS_ARGS + ["--from", "0.2,0.3",
+                                                              "--tmax", tmax])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[1] == "# status: unresolved sink: None"
+    assert [float(row.split(",")[0]) for row in lines[3:]] == [0.0, float(tmax)]
+
+
+def test_homology_at_a_tiny_tmax_refuses_the_flagged_counts(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, out, err = run_cli(capsys, ["homology"] + TORUS_ARGS + ["--tmax", "1e-300"])
+    assert (code, out) == (1, "")
+    assert err.startswith("morseflow: error: 4 of 4 counts are flagged")
+
+
 def test_resolution_warning_prints_as_a_morseflow_line():
     # the default warning filters of a fresh process, not the test suite's
     argv = ["homology", "--manifold", "torus2", "--function",

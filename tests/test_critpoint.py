@@ -332,3 +332,20 @@ def test_points_converged_to_the_rounding_floor_are_kept():
     pts = critpoint.find_critical_points(f, m)
     assert [(p.index, round(p.location[0], 9)) for p in pts] == [(0, 0.5), (1, 0.0)]
     assert all(p.residual < critpoint.RESIDUAL_TOL for p in pts)
+
+
+@pytest.mark.parametrize("text, dim, name, grid", [
+    ("cos(2*pi*x1) + cos(2*pi*x2) + 0.0731*cos(2*pi*(x1 + x2))", 2, "torus2", None),
+    ("(0.800000*x2^2 + 1.920000*x3^2 - 0.016000*x2*x3)/(x1^2 + x2^2 + x3^2)", 3, "rp2", None),
+    ("x3", 3, "sphere2", None),
+    ("cos(2*pi*7*x1) + 0.2*sin(2*pi*x1)", 1, "circle", 56),
+    ("cos(2*pi*x1) + 0.8*cos(2*pi*x2) + 0.6*cos(2*pi*x3)", 3, "torusN:3", 8),
+])
+def test_value_is_f_at_the_canonical_point(text, dim, name, grid):
+    f = ScalarField.from_text(text, dim)
+    m = geometry.parse_manifold(name)
+    pts = critpoint.find_critical_points(f, m, grid)
+    assert pts
+    for p in pts:
+        want = f.value(geometry.working_point(m, p.location))
+        assert np.float64(p.value).view(np.int64) == np.float64(want).view(np.int64)

@@ -36,10 +36,12 @@ def _synthetic_floer(text, name, cells, raw_counts, epsilon):
     m = geometry.parse_manifold(name)
     f = ScalarField.from_text(text, m.ambient_dim)
     pts = [critpoint.CriticalPoint(location=loc, index=k, eigenvalues=(), residual=0.0,
-                                   nondegenerate=True, id=i) for i, (loc, k) in enumerate(cells)]
-    counts = [flow.ConnectionCount(source=p, sink=q, count_mod2=n % 2, raw_count=n)
+                                   nondegenerate=True,
+                                   value=f.value(geometry.working_point(m, loc)), id=i)
+           for i, (loc, k) in enumerate(cells)]
+    counts = [flow.ConnectionCount(source=p, sink=q, raw_count=n)
               for (p, q), n in raw_counts.items()]
-    return floer.build_floer_complex(f, m, counts, epsilon=epsilon, points=pts)
+    return floer.build_floer_complex(pts, counts, epsilon=epsilon)
 
 
 def test_torus_hf_ranks():
@@ -56,8 +58,8 @@ def test_torus_hf_ranks():
 
 
 def test_circle_hf_ranks(circle_run):
-    f, m, run = circle_run
-    fc = floer.build_floer_complex(f, m, run.counts, epsilon=0.05, points=run.points)
+    _, _, run = circle_run
+    fc = floer.build_floer_complex(run.points, run.counts, epsilon=0.05)
     hf = floer.hf_ranks(fc)
     assert hf.by_degree == (1, 1)
     assert hf.total == 2
@@ -65,8 +67,8 @@ def test_circle_hf_ranks(circle_run):
 
 
 def test_t_equal_one_reduction_bitwise(torus_run):
-    f, m, run = torus_run
-    fc = floer.build_floer_complex(f, m, run.counts, epsilon=0.05, points=run.points)
+    _, _, run = torus_run
+    fc = floer.build_floer_complex(run.points, run.counts, epsilon=0.05)
     reduced = fc.mod2_matrices()
     assert set(reduced) == set(run.complex.matrices)
     for k in reduced:
@@ -75,15 +77,16 @@ def test_t_equal_one_reduction_bitwise(torus_run):
 
 def test_entries_carry_action_exponent():
     # synthetic odd count so the Novikov entry is visible
-    pts = [critpoint.CriticalPoint(location=(0.0,), index=0, eigenvalues=(1.0,),
-                                   residual=0.0, nondegenerate=True, id=0),
-           critpoint.CriticalPoint(location=(0.5,), index=1, eigenvalues=(-1.0,),
-                                   residual=0.0, nondegenerate=True, id=1)]
-    counts = [flow.ConnectionCount(source=1, sink=0, count_mod2=1, raw_count=1,
-                                   representatives=[], flagged=False)]
     f = ScalarField.from_text("cos(2*pi*x1)", 1)
-    m = geometry.parse_manifold("circle")
-    fc = floer.build_floer_complex(f, m, counts, epsilon=0.25, points=pts)
+    pts = [critpoint.CriticalPoint(location=(0.0,), index=0, eigenvalues=(1.0,),
+                                   residual=0.0, nondegenerate=True,
+                                   value=f.value((0.0,)), id=0),
+           critpoint.CriticalPoint(location=(0.5,), index=1, eigenvalues=(-1.0,),
+                                   residual=0.0, nondegenerate=True,
+                                   value=f.value((0.5,)), id=1)]
+    counts = [flow.ConnectionCount(source=1, sink=0, raw_count=1,
+                                   representatives=[], flagged=False)]
+    fc = floer.build_floer_complex(pts, counts, epsilon=0.25)
     e = fc.matrices[1][0][0]
     drop = 0.25 * (f.value((0.5,)) - f.value((0.0,)))
     assert e.exponents == (drop,)
@@ -157,13 +160,14 @@ def test_strip_area_rejects_unresolved(torus_run):
 
 
 def test_epsilon_must_scale_exponents(torus_run):
-    f, m, run = torus_run
-    fc1 = floer.build_floer_complex(f, m, run.counts, epsilon=0.05, points=run.points)
-    fc2 = floer.build_floer_complex(f, m, run.counts, epsilon=0.10, points=run.points)
+    _, _, run = torus_run
+    fc1 = floer.build_floer_complex(run.points, run.counts, epsilon=0.05)
+    fc2 = floer.build_floer_complex(run.points, run.counts, epsilon=0.10)
     assert fc1.epsilon == 0.05 and fc2.epsilon == 0.10
-    # torus counts are all even, so both differentials vanish; the recorded
-    # f values agree and the lift is determined by epsilon alone
-    assert fc1.f_values == fc2.f_values
+    # torus counts are all even, so both differentials vanish and the lift
+    # is determined by epsilon alone
+    assert all(e.is_zero for fc in (fc1, fc2) for rows in fc.matrices.values()
+               for row in rows for e in row)
 
 
 def test_arnold_bound_from_morse_ranks(torus_run):
@@ -189,7 +193,7 @@ def test_strip_gradient_fault_at_hermite_node_is_domain_error():
     f = ScalarField.from_text("x1 + sqrt(x1 - 0.1)", 1)
     m = geometry.parse_manifold("circle")
     pts = [critpoint.CriticalPoint(location=(x,), index=i, eigenvalues=(), residual=0.0,
-                                   nondegenerate=True, id=i)
+                                   nondegenerate=True, value=f.value((x,)), id=i)
            for i, x in enumerate((0.105, 0.3))]
     traj = flow.Trajectory(times=[0.0, 2.0], points=[(0.2,), (0.11,)],
                            source_label=1, sink_label=0, energy=0.0)
@@ -202,7 +206,7 @@ def test_strip_gradient_fault_at_hermite_node_is_domain_error():
 def test_overflowing_action_drop_is_domain_error(circle_run):
     f, m, run = circle_run
     with pytest.raises(DomainError):
-        floer.build_floer_complex(f, m, run.counts, epsilon=1.7e308, points=run.points)
+        floer.build_floer_complex(run.points, run.counts, epsilon=1.7e308)
     traj = run.counts[0].representatives[0]
     with pytest.raises(DomainError):
         floer.strip_area_check(f, m, [traj], epsilon=1.7e308, points=run.points)
@@ -313,3 +317,20 @@ def test_strip_pass_refuses_an_unresolved_second_trajectory(torus_run):
 def test_strip_pass_of_no_trajectories_is_empty(torus_run):
     f, m, run = torus_run
     assert floer.strip_area_check(f, m, [], epsilon=0.05, points=run.points) == []
+
+
+@pytest.mark.parametrize("run_name", ["torus_run", "circle_run"])
+def test_lift_and_strips_read_no_value_of_f(request, monkeypatch, run_name):
+    # the critical values live on the points: with f's value unavailable the
+    # lift and every strip check come out the same
+    f, m, run = request.getfixturevalue(run_name)
+    reps = [traj for c in run.counts for traj in c.representatives]
+    assert reps
+    fc = floer.build_floer_complex(run.points, run.counts, epsilon=0.05)
+    weights = floer.strip_area_check(f, m, reps, epsilon=0.05, points=run.points)
+
+    def no_value(point):
+        raise AssertionError("f was evaluated")
+    monkeypatch.setattr(f, "value", no_value)
+    assert floer.build_floer_complex(run.points, run.counts, epsilon=0.05) == fc
+    assert floer.strip_area_check(f, m, reps, epsilon=0.05, points=run.points) == weights

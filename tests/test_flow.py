@@ -310,7 +310,7 @@ def test_flow_along_a_kink_collapses_within_the_step_budget():
 
 def _points(locations):
     return [critpoint.CriticalPoint(location=tuple(loc), index=0, eigenvalues=(),
-                                    residual=0.0, nondegenerate=True, id=i)
+                                    residual=0.0, nondegenerate=True, value=0.0, id=i)
             for i, loc in enumerate(locations)]
 
 

@@ -68,12 +68,12 @@ def test_entry_and_bitstrings():
 def make_point(pid, index):
     return CriticalPoint(location=(0.0, float(pid)), index=index,
                          eigenvalues=(1.0,), residual=0.0,
-                         nondegenerate=True, id=pid)
+                         nondegenerate=True, value=0.0, id=pid)
 
 
 def make_count(src, snk, raw):
-    return ConnectionCount(source=src, sink=snk, count_mod2=raw % 2,
-                           raw_count=raw, representatives=[], flagged=False)
+    return ConnectionCount(source=src, sink=snk, raw_count=raw,
+                           representatives=[], flagged=False)
 
 
 def torus_like():
