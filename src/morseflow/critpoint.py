@@ -76,7 +76,12 @@ def classify(field: ScalarField, m: geometry.ManifoldModel, point) -> CriticalPo
     H = hessian_in_frame(field, m, point)
     eig = np.linalg.eigh(H)[0]
     scale = max(float(np.max(np.abs(eig))), 1e-30)
-    nondeg = bool(np.min(np.abs(eig)) > DEGENERACY_REL * scale)
+    low = float(np.min(np.abs(eig)))
+    nondeg = bool(low > DEGENERACY_REL * scale)
+    # the residual leaves a nondegenerate point about res / low from its row
+    if nondeg and res > DEDUPE_RADIUS / 2 * low:
+        raise DomainError(f"critical point {loc} is located only to within {res / low:.1e}, above "
+                          f"{DEDUPE_RADIUS / 2:.0e}: f is too flat, scale it up", loc)
     # within the degeneracy threshold the sign of an eigenvalue is rounding noise
     index = int(np.sum(eig < -DEGENERACY_REL * scale))
     return CriticalPoint(

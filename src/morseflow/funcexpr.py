@@ -1,12 +1,14 @@
 """Expression language for scalar fields in chart coordinates.
 
-Variables are x1..xn, `pi` is a keyword constant, and the operators
-+ - * / ^ follow the precedence ^ > unary minus > * / > + -, all
-left-associative.  Exponents of ^ must be integer literals so that
-differentiation stays inside the language.  sin, cos, exp, log and
-sqrt are the only functions.  Digits and identifiers are ASCII, and a
-literal that overflows a float is a syntax error, as is nesting or an
-AST deeper than MAX_DEPTH levels.
+Variables are x1..xn, `pi` is a keyword constant, and FUNCTIONS are the
+only functions (both evaluation environments are built from it).  The
+binary operators are one table, `_BINARY`: + - below * /, each level one
+left-associative loop; unary minus binds tighter, ^ (left-associative)
+tighter still, and its exponents must be integer literals so that
+differentiation stays inside the language.  The tokens are one regular
+expression, `_TOKEN`: digits and identifiers are ASCII, and a literal
+that overflows a float is a syntax error, as is nesting or an AST
+deeper than MAX_DEPTH levels.
 
 Differentiation is symbolic on the AST (no dual numbers).  Evaluation
 is compiled only: each tuple of expressions becomes plain Python code
@@ -18,6 +20,7 @@ against bitwise lives with the tests.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -95,15 +98,23 @@ class Call:
 
 
 Expr = Num | Pi | Var | Neg | Add | Sub | Mul | Div | Pow | Call
-_OPERATORS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+# the binary operators by precedence, loosest first; all left-associative
+_BINARY = ({"+": Add, "-": Sub}, {"*": Mul, "/": Div})
+_OPERATORS = {cls: op for ops in _BINARY for op, cls in ops.items()}
 
 
 # --- lexer -------------------------------------------------------------------
 
-_NUM = "num"
-_IDENT = "ident"
-_OP = "op"
-_END = "end"
+_NUM, _IDENT, _OP, _END = "num", "ident", "op", "end"   # group names of _TOKEN, and the end
+# one token at the start of the rest of the text; `bad` takes any character
+# no other group starts with, so the matches tile the text
+_TOKEN = re.compile(r"""
+    (?P<space> \s+ )
+  | (?P<num>   (?: [0-9]+ (?: \. [0-9]* )? | \. [0-9]+ ) (?: [eE] [+-]? [0-9]+ )? )
+  | (?P<ident> [A-Za-z_] [A-Za-z0-9_]* )
+  | (?P<op>    [-+*/^()] )
+  | (?P<bad>   . )
+""", re.VERBOSE | re.DOTALL)
 
 
 def _digits(s: str) -> bool:
@@ -113,46 +124,15 @@ def _digits(s: str) -> bool:
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if _digits(c) or (c == "." and i + 1 < n and _digits(text[i + 1])):
-            j = i
-            while j < n and _digits(text[j]):
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and _digits(text[j]):
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and _digits(text[k]):
-                    j = k
-                    while j < n and _digits(text[j]):
-                        j += 1
-            if not math.isfinite(float(text[i:j])):
-                raise ExprSyntaxError(f"number {text[i:j]} overflows", i)
-            toks.append((_NUM, text[i:j], i))
-            i = j
-            continue
-        if c.isascii() and (c.isalpha() or c == "_"):
-            j = i
-            while j < n and text[j].isascii() and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append((_IDENT, text[i:j], i))
-            i = j
-            continue
-        if c in "+-*/^()":
-            toks.append((_OP, c, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character '{c}'", i)
-    toks.append((_END, "", n))
+    for m in _TOKEN.finditer(text):
+        kind, val, at = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character '{val}'", at)
+        if kind == _NUM and not math.isfinite(float(val)):
+            raise ExprSyntaxError(f"number {val} overflows", at)
+        if kind != "space":
+            toks.append((kind, val, at))
+    toks.append((_END, "", len(text)))
     return toks
 
 
@@ -198,27 +178,18 @@ class _Parser:
             raise ExprSyntaxError(f"trailing input '{val}'", at, expected="end of expression")
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
+    def expr(self, level: int = 0) -> Expr:
+        """_BINARY[level] over the operands of the next level, or of unary()."""
+        ops = _BINARY[level]
+        down = level + 1 < len(_BINARY)
+        e = self.expr(level + 1) if down else self.unary()
         while True:
             kind, val, at = self.peek()
-            if kind == _OP and val in "+-":
-                self.next()
-                rhs = self.term()
-                e = self.node(Add(e, rhs) if val == "+" else Sub(e, rhs), at, e, rhs)
-            else:
+            if kind != _OP or val not in ops:
                 return e
-
-    def term(self) -> Expr:
-        e = self.unary()
-        while True:
-            kind, val, at = self.peek()
-            if kind == _OP and val in "*/":
-                self.next()
-                rhs = self.unary()
-                e = self.node(Mul(e, rhs) if val == "*" else Div(e, rhs), at, e, rhs)
-            else:
-                return e
+            self.next()
+            rhs = self.expr(level + 1) if down else self.unary()
+            e = self.node(ops[val](e, rhs), at, e, rhs)
 
     def unary(self) -> Expr:
         # every recursion of the parser passes through here
@@ -386,14 +357,8 @@ def differentiate(e: Expr, i: int) -> Expr:
 
 # --- compilation ----------------------------------------------------------------
 
-_MATH_ENV = {
-    "sin": math.sin, "cos": math.cos, "exp": math.exp,
-    "log": math.log, "sqrt": math.sqrt, "pi": math.pi,
-}
-_NUMPY_ENV = {
-    "sin": np.sin, "cos": np.cos, "exp": np.exp,
-    "log": np.log, "sqrt": np.sqrt, "pi": math.pi,
-}
+_MATH_ENV = {**{name: getattr(math, name) for name in FUNCTIONS}, "pi": math.pi}
+_NUMPY_ENV = {**{name: getattr(np, name) for name in FUNCTIONS}, "pi": math.pi}
 
 
 def _source(exprs, dim: int) -> str:
@@ -441,8 +406,8 @@ def compile_tuple(exprs, dim: int):
 
 
 def bind(code, env: dict = _MATH_ENV):
-    """The function of compiled `code` with sin, cos, exp, log, sqrt and pi
-    bound from `env`: `math` by default, numpy for arrays."""
+    """The function of compiled `code` with FUNCTIONS and pi bound from
+    `env`: `math` by default, numpy for arrays."""
     namespace = dict(env, __builtins__={})
     exec(code, namespace)
     return namespace["_f"]
@@ -463,10 +428,8 @@ class ScalarField:
         self.dim = dim
         self.text = text
         self.partials = tuple(differentiate(expr, i) for i in range(1, dim + 1))
-        self.second = tuple(
-            tuple(differentiate(self.partials[i], j + 1) for j in range(dim))
-            for i in range(dim)
-        )
+        self.second = tuple(tuple(differentiate(d, j) for j in range(1, dim + 1))
+                            for d in self.partials)
         self._value = bind(compile_tuple((expr,), dim))
         grad = compile_tuple(self.partials, dim)
         self._grad = bind(grad)
@@ -485,24 +448,21 @@ class ScalarField:
     def from_text(cls, text: str, dim: int) -> "ScalarField":
         return cls(parse(text, dim), dim, text=text)
 
-    def value(self, point) -> float:
+    def _at(self, fn, what: str, point):
+        """fn at the float coordinates of point; evaluation faults become DomainError."""
         try:
-            return float(self._value(*map(float, point))[0])
+            return fn(*map(float, point))
         except EVAL_ERRORS as exc:
-            raise DomainError(f"evaluation failed: {exc}", tuple(point)) from exc
+            raise DomainError(f"{what}evaluation failed: {exc}", tuple(point)) from exc
+
+    def value(self, point) -> float:
+        return float(self._at(self._value, "", point)[0])
 
     def gradient(self, point):
-        try:
-            return self._grad(*map(float, point))
-        except EVAL_ERRORS as exc:
-            raise DomainError(f"gradient evaluation failed: {exc}", tuple(point)) from exc
+        return self._at(self._grad, "gradient ", point)
 
     def hessian(self, point):
-        try:
-            flat = self._hess(*map(float, point))
-        except EVAL_ERRORS as exc:
-            raise DomainError(f"hessian evaluation failed: {exc}", tuple(point)) from exc
-        n = self.dim
+        flat, n = self._at(self._hess, "hessian ", point), self.dim
         return [[flat[i * n + j] for j in range(n)] for i in range(n)]
 
     def __repr__(self):

@@ -1,5 +1,5 @@
-"""Digest of every CLI report of the benchmark's requests, to show that a
-change leaves the reports byte-identical.
+"""Digest of every CLI report of the benchmark's requests and of a fixed
+set of examples, to show that a change leaves the reports byte-identical.
 
     python3 tools/report_digest.py ROOT
 
@@ -11,8 +11,10 @@ ROOT/src.  For each workload and seeds 1-3 it runs every request of
 ROOT/BENCHMARK.json, through `cli.main` in-process and hashes its argv,
 exit code, stdout and stderr.  Lift loop files are written to a temporary
 directory whose path is replaced by a fixed token before hashing, since
-`maslov` reports embed the loop path.  It prints one sha256 per workload
-and their total; run it on two checkouts and compare the totals.
+`maslov` reports embed the loop path.  It prints one sha256 per workload,
+one over EXAMPLES, requests the benchmark never makes (the README's
+examples, every subcommand and output format, and the usage errors), and
+the total of these four; run it on two checkouts and compare the totals.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import sys
 import tempfile
 import traceback
@@ -30,6 +33,42 @@ from pathlib import Path
 
 SEEDS = (1, 2, 3)
 WORKDIR_TOKEN = "<workdir>"
+LOOP = "<loop>"    # in EXAMPLES: the path of LOOP_CSV, written to the work directory
+# a line of R^2 turning by half a turn, 17 frames: Maslov index 1
+LOOP_CSV = "".join(f"{t:.6f},{math.cos(t):.6f},{math.sin(t):.6f}\n"
+                   for t in (math.pi * k / 16 for k in range(17)))
+TORUS = ("--manifold", "torus2", "--function", "cos(2*pi*x1) + cos(2*pi*x2)")
+CIRCLE = ("--manifold", "circle", "--function")
+EXAMPLES = (
+    # the README's examples
+    ("critpoints", *TORUS),
+    ("flow", "--manifold", "sphere2", "--function", "x3", "--from", "1,0,0"),
+    ("connections", *TORUS),
+    ("homology", "--manifold", "rp2", "--function", "(1*x2^2 + 2*x3^2)/(x1^2 + x2^2 + x3^2)"),
+    ("floer", "--base", "circle", "--function", "cos(2*pi*x1)", "--epsilon", "0.05"),
+    ("maslov", "--loop", LOOP),
+    ("arnold", "--manifold", "sphere2", "--function", "x3"),
+    # homology on the other manifolds, and the other output formats
+    ("homology", *CIRCLE, "cos(2*pi*x1)"),
+    ("homology", "--manifold", "rp1", "--function", "(x2^2) / (x1^2 + x2^2)"),
+    ("homology", "--manifold", "rp3", "--function",
+     "(x2^2 + 2*x3^2 + 3*x4^2) / (x1^2 + x2^2 + x3^2 + x4^2)"),
+    ("homology", "--manifold", "torusN:3", "--function",
+     "cos(2*pi*x1) + cos(2*pi*x2) + cos(2*pi*x3)"),
+    ("critpoints", *TORUS, "--out", "csv"),
+    ("flow", *TORUS, "--from", "0.2,0.3", "--out", "json"),
+    # usage errors
+    ("critpoints", *CIRCLE, "cos(2*pi*x1"),
+    ("critpoints", *CIRCLE, "x1^\u00b2"),
+    ("critpoints", *CIRCLE, "1e400*x1"),
+    ("critpoints", *CIRCLE, "(" * 300 + "x1" + ")" * 300),
+    ("critpoints", *CIRCLE, "foo(x1)"),
+    ("critpoints", "--manifold", "torus2", "--function", "x1"),
+    ("critpoints", "--manifold", "rp2", "--function", "x3"),
+    ("critpoints", *TORUS, "--grid", "1"),
+    ("floer", "--base", "circle", "--function", "cos(2*pi*x1)", "--epsilon", "nan"),
+    ("critpoints", "--manifold", "klein", "--function", "cos(2*pi*x1)"),
+)
 
 
 def _load(name: str, path: Path):
@@ -68,9 +107,22 @@ def _request_digest(main, argv, workdir: str) -> bytes:
     return hashlib.sha256(text.encode("utf-8")).digest()
 
 
+def _examples_digest(main):
+    """The sha256 object over the requests of EXAMPLES, in order."""
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as workdir:
+        loop = Path(workdir) / "loop.csv"
+        loop.write_text(LOOP_CSV, encoding="utf-8")
+        for argv in EXAMPLES:
+            h.update(_request_digest(main, [str(loop) if a == LOOP else a for a in argv],
+                                     workdir))
+    return h
+
+
 def digests(root: Path, seeds=SEEDS, limit: int | None = None) -> dict:
     """Hex sha256 per workload over its requests of every seed, in order,
-    and "total" over the workloads; `limit` caps the requests per seed."""
+    "examples" over EXAMPLES, and "total" over these; `limit` caps the
+    requests per seed of each workload."""
     root = Path(root)
     workloads = _load("report_digest_workloads", root / "perfbench" / "workloads.py")
     seconds = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
@@ -87,6 +139,9 @@ def digests(root: Path, seeds=SEEDS, limit: int | None = None) -> dict:
                     h.update(_request_digest(main, req.argv, workdir))
         out[name] = h.hexdigest()
         total.update(h.digest())
+    h = _examples_digest(main)
+    out["examples"] = h.hexdigest()
+    total.update(h.digest())
     out["total"] = total.hexdigest()
     return out
 
