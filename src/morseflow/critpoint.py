@@ -5,7 +5,9 @@ Newton's method on the gradient, damped by a backtracking line search on
 taken in order of residual, each point keeps its first lowest-residual
 row, and the points are classified by the Hessian's spectrum and keep
 f at their canonical location.  Batched, every live seed takes its
-Newton step in one stacked solve, then its own Armijo line search.
+Newton step in one stacked solve, then its own Armijo line search, and
+the kept points are classified together: one numpy evaluation of the
+gradient and of the Hessian at all of them, one stacked eigh.
 
 On the sphere (and on the RP^n double cover) the relevant operator is the
 intrinsic Hessian of the restriction: in an orthonormal tangent frame P at
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import geometry
 from .errors import DomainError, EmptyResultError, NotCriticalError
-from .funcexpr import ScalarField
+from .funcexpr import EVAL_ERRORS, ScalarField
 
 RESIDUAL_TOL = 1e-10     # a point counts as critical only below this
 DEDUPE_RADIUS = 1e-6
@@ -44,54 +46,39 @@ class CriticalPoint:
     id: int = -1             # position in the sorted list, set by the sweep
 
 
-def hessian_in_frame(field: ScalarField, m: geometry.ManifoldModel, point) -> np.ndarray:
-    """Symmetric Hessian matrix in chart / orthonormal tangent frame coordinates."""
-    x = geometry.working_point(m, point)
-    H = np.asarray(field.hessian(x), dtype=float)
-    H = 0.5 * (H + H.T)
-    if m.kind == "torus":
-        return H
-    g = np.asarray(field.gradient(x))
-    P = geometry.tangent_frame(m, x)
-    return P.T @ (H - np.dot(g, x) * np.eye(len(x))) @ P
-
-
-def classify(field: ScalarField, m: geometry.ManifoldModel, point) -> CriticalPoint:
-    """Build a CriticalPoint record; the gradient must already be < 1e-10
-    and f defined at the point (the derivative of log u is finite where
-    u < 0, so Newton converges there too); f is read at the canonical point."""
-    x = geometry.working_point(m, point)
-    g = np.asarray(field.gradient(x))
-    if m.kind != "torus":
-        g = g - np.dot(g, x) * x
-    res = float(np.linalg.norm(g))
-    if res > RESIDUAL_TOL:
-        raise NotCriticalError(
-            f"gradient residual {res:.3e} exceeds {RESIDUAL_TOL:.0e} at {tuple(point)}")
-    loc = tuple(float(v) for v in geometry.canonicalize(m, point))
-    try:
-        value = field.value(geometry.working_point(m, loc))
-    except DomainError as exc:
-        raise DomainError(f"f is undefined at the critical point {loc}: {exc}", loc) from exc
-    H = hessian_in_frame(field, m, point)
-    eig = np.linalg.eigh(H)[0]
-    scale = max(float(np.max(np.abs(eig))), 1e-30)
-    low = float(np.min(np.abs(eig)))
-    nondeg = bool(low > DEGENERACY_REL * scale)
-    # the residual leaves a nondegenerate point about res / low from its row
-    if nondeg and res > DEDUPE_RADIUS / 2 * low:
-        raise DomainError(f"critical point {loc} is located only to within {res / low:.1e}, above "
-                          f"{DEDUPE_RADIUS / 2:.0e}: f is too flat, scale it up", loc)
-    # within the degeneracy threshold the sign of an eigenvalue is rounding noise
-    index = int(np.sum(eig < -DEGENERACY_REL * scale))
-    return CriticalPoint(
-        location=loc,
-        index=index,
-        eigenvalues=tuple(float(v) for v in eig),
-        residual=res,
-        nondegenerate=nondeg,
-        value=value,
-    )
+def classify(field: ScalarField, m: geometry.ManifoldModel, rows) -> list[CriticalPoint]:
+    """A CriticalPoint record for each of `rows`, in order, classified at its
+    working point.  Each gradient must already be < 1e-10 and f defined at
+    the point (the derivative of log u is finite where u < 0, so Newton
+    converges there too); f is read at the canonical point."""
+    X = np.array([geometry.working_point(m, row) for row in rows])
+    G, H = frame_hessians(field, m, X)
+    points = []
+    for row, x, g, eig in zip(rows, X, G, np.linalg.eigh(H)[0]):
+        if m.kind != "torus":
+            g = g - np.dot(g, x) * x
+        res = float(np.linalg.norm(g))
+        if res > RESIDUAL_TOL:
+            raise NotCriticalError(
+                f"gradient residual {res:.3e} exceeds {RESIDUAL_TOL:.0e} at {tuple(row)}")
+        loc = tuple(float(v) for v in geometry.canonicalize(m, row))
+        try:
+            value = field.value(geometry.working_point(m, loc))
+        except DomainError as exc:
+            raise DomainError(f"f is undefined at the critical point {loc}: {exc}", loc) from exc
+        scale = max(float(np.max(np.abs(eig))), 1e-30)
+        low = float(np.min(np.abs(eig)))
+        nondeg = bool(low > DEGENERACY_REL * scale)
+        # the residual leaves a nondegenerate point about res / low from its row
+        if nondeg and res > DEDUPE_RADIUS / 2 * low:
+            raise DomainError(f"critical point {loc} is located only to within {res / low:.1e}, "
+                              f"above {DEDUPE_RADIUS / 2:.0e}: f is too flat, scale it up", loc)
+        # within the degeneracy threshold the sign of an eigenvalue is rounding noise
+        points.append(CriticalPoint(
+            location=loc, index=int(np.sum(eig < -DEGENERACY_REL * scale)),
+            eigenvalues=tuple(float(v) for v in eig), residual=res, nondegenerate=nondeg,
+            value=value))
+    return points
 
 
 def _evaluate(fn, X: np.ndarray, width: int) -> np.ndarray:
@@ -100,6 +87,25 @@ def _evaluate(fn, X: np.ndarray, width: int) -> np.ndarray:
     for i, v in enumerate(fn(*X.T)):
         out[:, i] = v          # a constant output broadcasts
     return out
+
+
+def frame_hessians(field: ScalarField, m: geometry.ManifoldModel, X: np.ndarray):
+    """The ambient gradients at the rows of X, in working coordinates, and the
+    symmetric Hessians there in chart / orthonormal tangent frame coordinates,
+    stacked; evaluation faults become DomainError."""
+    k, d = X.shape
+    try:
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            G = _evaluate(field.array_gradient, X, d)
+            H = _evaluate(field.array_hessian, X, d * d).reshape(k, d, d)
+    except EVAL_ERRORS as exc:
+        raise DomainError(f"derivative evaluation failed at a critical point: {exc}") from exc
+    H = 0.5 * (H + H.transpose(0, 2, 1))
+    if m.kind == "torus":
+        return G, H
+    frames = [geometry.tangent_frame(m, x) for x in X]
+    return G, np.array([P.T @ (h - np.dot(g, x) * np.eye(d)) @ P
+                        for x, g, h, P in zip(X, G, H, frames)]).reshape(k, m.n, m.n)
 
 
 def _gradients(field: ScalarField, m: geometry.ManifoldModel, X: np.ndarray):
@@ -239,7 +245,7 @@ def find_critical_points(field: ScalarField, m: geometry.ManifoldModel,
     if not len(xs):
         raise EmptyResultError("no critical point converged from the seed grid")
 
-    points = [classify(field, m, x) for x in _dedupe(m, xs, residuals)]
+    points = classify(field, m, _dedupe(m, xs, residuals))
     points.sort(key=lambda p: (p.index, tuple(round(v, 9) for v in p.location)))
     return [replace(p, id=k) for k, p in enumerate(points)]
 

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import geometry
-from .critpoint import CriticalPoint, hessian_in_frame
+from .critpoint import CriticalPoint, frame_hessians
 from .errors import (
     DomainError,
     IndexGapError,
@@ -362,14 +362,13 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
 
 # --- seeds of an index-1 point --------------------------------------------------
 
-def _unstable_direction(field: ScalarField, m: geometry.ManifoldModel,
-                        p: CriticalPoint, backward: bool = False) -> np.ndarray:
-    """Eigenvector of the one negative Hessian eigenvalue of p, sign fixed;
-    when `backward`, of -f's Hessian, the negated Hessian of f."""
+def _unstable_direction(m: geometry.ManifoldModel, p: CriticalPoint, H: np.ndarray,
+                        backward: bool = False) -> np.ndarray:
+    """Eigenvector of the one negative eigenvalue of p's frame Hessian H, sign
+    fixed; when `backward`, of -f's Hessian, the negated H."""
     index = m.n - p.index if backward else p.index
     if index != 1:
         raise SourceIndexError(f"point {p.id} has index {index}: seed scans need index 1")
-    H = hessian_in_frame(field, m, p.location)
     w, V = np.linalg.eigh(-H if backward else H)
     if np.count_nonzero(w < 0.0) != 1:
         raise SourceIndexError(
@@ -391,15 +390,15 @@ def _seed_states(m: geometry.ManifoldModel, p: CriticalPoint, v: np.ndarray) -> 
     return w / np.linalg.norm(w, axis=1, keepdims=True)
 
 
-def _scan(field, m, p, capture, t_max, backward=False):
+def _scan(field, m, p, H, capture, t_max, backward=False):
     """The two seed trajectories of index-1 p's unstable sphere, or when
     `backward` of its stable sphere, p being of index n - 1, flowed backward,
-    each captured by the lookup `capture`.
+    each captured by the lookup `capture`; H is p's frame Hessian.
 
     A seed that t_max stops before capture keeps its partial trajectory,
     sink None."""
     trajs = []
-    for start in _seed_states(m, p, _unstable_direction(field, m, p, backward)):
+    for start in _seed_states(m, p, _unstable_direction(m, p, H, backward)):
         try:
             trajs.append(integrate(field, m, start, t_max=t_max, source_label=p.id,
                                    backward=backward, capture=capture))
@@ -440,10 +439,12 @@ def _count_pairs(field, m, pairs, points, t_max):
     def end(p, q):              # a pair's index-1 end, and whether it flows backward
         return (p, False) if p.index == 1 else (q, True)
     ends = dict.fromkeys(sorted((end(p, q) for p, q in pairs), key=lambda e: e[1]))
+    X = np.array([geometry.working_point(m, e.location) for e, _ in ends])
+    hessians = frame_hessians(field, m, X.reshape(-1, m.ambient_dim))[1]   # 2-D with no end
     filed, flagged = {}, set()
-    for e, backward in ends:
+    for (e, backward), H in zip(ends, hessians):
         want = e.index + 1 if backward else e.index - 1
-        for traj in _scan(field, m, e, capture, t_max, backward):
+        for traj in _scan(field, m, e, H, capture, t_max, backward):
             if traj.sink_label is None:
                 flagged.add((e, backward))
                 warnings.warn(f"seed trajectory from index-1 point {e.id} unresolved",

@@ -12,9 +12,10 @@ deeper than MAX_DEPTH levels.
 
 Differentiation is symbolic on the AST (no dual numbers).  Evaluation
 is compiled only: each tuple of expressions becomes plain Python code
-once (`compile_tuple`), bound (`bind`) over `math` for scalars and over
-numpy for arrays.  The tree-walking oracle the compiled code is checked
-against bitwise lives with the tests.
+once (`compile_tuple`), bound (`bind`) over `math` for scalars (f, and
+the gradient the flow steps with) and over numpy for arrays (the
+gradient, and the only Hessian).  The tree-walking oracle the compiled
+code is checked against bitwise lives with the tests.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -417,10 +417,11 @@ class ScalarField:
     """A parsed expression together with its gradient and Hessian.
 
     `dim` is the number of chart (or homogeneous/ambient) variables the
-    expression may mention; partial derivative ASTs and compiled fast
-    evaluators are built once and reused.  `value`, `gradient` and
-    `hessian` evaluate on Python floats, so a numpy point fails with a
-    DomainError, never a numpy warning.
+    expression may mention; partial derivative ASTs and compiled
+    evaluators are built once and reused.  `value` is f on Python floats,
+    a fault raised as DomainError; `_grad`, the flow's gradient, too.
+    The Hessian is numpy only: `array_hessian` gives the flat second
+    partials, and `array_gradient` the gradient, elementwise over arrays.
     """
 
     def __init__(self, expr: Expr, dim: int, text: str):
@@ -435,35 +436,19 @@ class ScalarField:
         self._grad = bind(grad)
         # the same gradient, elementwise over numpy arrays
         self.array_gradient = bind(grad, _NUMPY_ENV)
-        self._hess_code = compile_tuple([e for row in self.second for e in row], dim)
-        self._hess = bind(self._hess_code)
-
-    @cached_property
-    def array_hessian(self):
-        """The flat second partials over numpy arrays, bound on first use:
-        fields that are never swept skip it."""
-        return bind(self._hess_code, _NUMPY_ENV)
+        self.array_hessian = bind(compile_tuple([e for row in self.second for e in row], dim),
+                                  _NUMPY_ENV)
 
     @classmethod
     def from_text(cls, text: str, dim: int) -> "ScalarField":
         return cls(parse(text, dim), dim, text=text)
 
-    def _at(self, fn, what: str, point):
-        """fn at the float coordinates of point; evaluation faults become DomainError."""
-        try:
-            return fn(*map(float, point))
-        except EVAL_ERRORS as exc:
-            raise DomainError(f"{what}evaluation failed: {exc}", tuple(point)) from exc
-
     def value(self, point) -> float:
-        return float(self._at(self._value, "", point)[0])
-
-    def gradient(self, point):
-        return self._at(self._grad, "gradient ", point)
-
-    def hessian(self, point):
-        flat, n = self._at(self._hess, "hessian ", point), self.dim
-        return [[flat[i * n + j] for j in range(n)] for i in range(n)]
+        """f at the float coordinates of point; evaluation faults become DomainError."""
+        try:
+            return float(self._value(*map(float, point))[0])
+        except EVAL_ERRORS as exc:
+            raise DomainError(f"evaluation failed: {exc}", tuple(point)) from exc
 
     def __repr__(self):
         return f"ScalarField({self.text!r}, dim={self.dim})"

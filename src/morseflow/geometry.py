@@ -51,7 +51,7 @@ class ManifoldModel:
     @property
     def name(self) -> str:
         if self.kind == "torus":
-            return f"torus{self.n}" if self.n == 2 else f"torusN:{self.n}"
+            return {1: "circle", 2: "torus2"}.get(self.n, f"torusN:{self.n}")
         if self.kind == "sphere":
             return f"sphere{self.n}"
         return f"rp{self.n}"

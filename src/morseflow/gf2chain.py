@@ -116,14 +116,8 @@ def build_complex(points: list[CriticalPoint],
 
 def verify_d_squared(cx: ChainComplexGF2) -> bool:
     """Check d_{k-1} o d_k = 0 for every degree."""
-    for k in range(2, cx.top_degree + 1):
-        lower = cx.matrices.get(k - 1)
-        upper = cx.matrices.get(k)
-        if lower is None or upper is None:
-            continue
-        if not lower.compose_zero(upper):
-            return False
-    return True
+    return all(cx.matrices[k - 1].compose_zero(cx.matrices[k])
+               for k in range(2, cx.top_degree + 1))
 
 
 def homology_ranks(cx: ChainComplexGF2) -> HomologyRanks:
@@ -161,8 +155,7 @@ def morse_inequalities(cx: ChainComplexGF2,
     euler_c = 0
     for k in range(cx.top_degree + 1):
         nk = cx.dim(k)
-        bk = ranks.by_degree[k] if k < len(ranks.by_degree) else 0
-        rows.append((k, nk, bk, nk >= bk))
+        rows.append((k, nk, ranks.by_degree[k], nk >= ranks.by_degree[k]))
         euler_c += (-1) ** k * nk
     return MorseInequalityReport(rows=tuple(rows), euler_crit=euler_c,
                                  euler_betti=ranks.euler())

@@ -190,7 +190,7 @@ def test_parser_defaults_are_the_library_defaults():
      "Euler characteristic 2 (sphere2: 2) and indices [2] (need 0 and 2)"),
     # a 3-point grid finds two minima and one maximum of cos(16 pi x)
     (["--manifold", "circle", "--function", "cos(2*pi*8*x1)", "--grid", "3"],
-     "Euler characteristic 1 (torusN:1: 0)"),
+     "Euler characteristic 1 (circle: 0)"),
 ])
 def test_impossible_critical_points_refused(capsys, argv, needle):
     code, out, err = run_cli(capsys, ["homology"] + argv)

@@ -84,7 +84,7 @@ def test_index_duality_under_negation(torus_setup):
 def test_classify_rejects_regular_points(torus_setup):
     f, m, _ = torus_setup
     with pytest.raises(NotCriticalError):
-        critpoint.classify(f, m, (0.2, 0.3))
+        critpoint.classify(f, m, [(0.2, 0.3)])
 
 
 def test_degenerate_field_detected():
@@ -92,7 +92,7 @@ def test_degenerate_field_detected():
     # Hessian singular in the x2 direction
     f = ScalarField.from_text("cos(2*pi*x1)", 2)
     m = geometry.torus(2)
-    p = critpoint.classify(f, m, (0.0, 0.37))
+    [p] = critpoint.classify(f, m, [(0.0, 0.37)])
     assert not p.nondegenerate
     assert not critpoint.verify_morse([p])
 
@@ -349,3 +349,41 @@ def test_value_is_f_at_the_canonical_point(text, dim, name, grid):
     for p in pts:
         want = f.value(geometry.working_point(m, p.location))
         assert np.float64(p.value).view(np.int64) == np.float64(want).view(np.int64)
+
+
+def _bits(p):
+    """Every field of a record, with each float as its bit pattern."""
+    floats = np.array([*p.location, *p.eigenvalues, p.residual, p.value])
+    return p.index, p.nondegenerate, p.id, floats.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("text, name, grid", [
+    ("cos(2*pi*x1) + cos(2*pi*x2) + 0.05*sin(2*pi*(x1 + 2*x2))", "torus2", 16),
+    ("x3 + 0.1*exp(x1)*x2", "sphere2", 6),
+    ("(x1^2 + 2*x2^2 + 3*x3^2)/(x1^2 + x2^2 + x3^2)", "rp2", 6),
+    ("log(2 + cos(2*pi*8*x1)) + 0.1*sin(2*pi*x1)", "circle", 64),
+])
+def test_classifying_rows_together_equals_classifying_each_alone(text, name, grid):
+    # one batch of numpy evaluations and one stacked eigh per sweep: no row
+    # may see its neighbours in its record's bits
+    m = geometry.parse_manifold(name)
+    f = ScalarField.from_text(text, m.ambient_dim)
+    with np.errstate(all="ignore"):
+        xs, residuals = critpoint._sweep(f, m, geometry.seed_points(m, grid))
+    rows = critpoint._dedupe(m, xs, residuals)
+    assert len(rows) == len(critpoint.find_critical_points(f, m, grid)) >= 2
+    together = critpoint.classify(f, m, rows)
+    alone = [p for k in range(len(rows)) for p in critpoint.classify(f, m, rows[k:k + 1])]
+    assert [_bits(p) for p in together] == [_bits(p) for p in alone]
+
+
+def test_one_stacked_eigh_classifies_every_point(monkeypatch):
+    f = ScalarField.from_text("cos(2*pi*x1) + cos(2*pi*x2) + 0.05*sin(2*pi*(x1 + 2*x2))", 2)
+    eigh, shapes = np.linalg.eigh, []
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    pts = critpoint.find_critical_points(f, geometry.torus(2))
+    assert shapes == [(len(pts), 2, 2)]

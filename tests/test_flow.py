@@ -79,8 +79,14 @@ def test_integrate_sphere_equator_to_south(sphere):
         assert abs(np.linalg.norm(y) - 1.0) < 1e-8
 
 
+def frame_hessian(f, m, p):
+    """p's frame Hessian, at the working point the count takes it at."""
+    return critpoint.frame_hessians(f, m, geometry.working_point(m, p.location)[None])[1][0]
+
+
 def scan(f, m, p, pts):
-    return flow._scan(f, m, p, flow._capture_lookup(m, pts), flow.T_MAX_DEFAULT)
+    return flow._scan(f, m, p, frame_hessian(f, m, p), flow._capture_lookup(m, pts),
+                      flow.T_MAX_DEFAULT)
 
 
 def test_basin_scan_index1_two_seeds(torus):
@@ -474,7 +480,7 @@ def test_backward_flow_is_the_flow_of_minus_f(m, text):
     for q in pts:
         if q.index != m.n - 1:
             continue
-        v = flow._unstable_direction(neg, m, replace(q, index=1))
+        v = flow._unstable_direction(m, replace(q, index=1), frame_hessian(neg, m, q))
         for seed in flow._seed_states(m, q, v):
             y = tuple(float(u) for u in (seed if m.kind == "torus" else geometry.unit_lift(m, seed)))
             times, ys, fs = _reference_integrate(neg, m, y, pts)
@@ -484,6 +490,21 @@ def test_backward_flow_is_the_flow_of_minus_f(m, text):
             expected[capture(ys[-1]), q.id].append(
                 ([times[-1] - t for t in reversed(times)], ys[::-1]))
     assert reps == expected
+
+
+def count_rhs_evals(monkeypatch):
+    """A one-item list counting the calls of every RHS that make_rhs builds from now on."""
+    make_rhs, n = flow.make_rhs, [0]
+
+    def counting_make_rhs(fld, mm):
+        rhs = make_rhs(fld, mm)
+
+        def counted(y):
+            n[0] += 1
+            return rhs(y)
+        return counted
+    monkeypatch.setattr(flow, "make_rhs", counting_make_rhs)
+    return n
 
 
 @pytest.mark.parametrize("text,dim,m,start,calls,accepted", [
@@ -497,18 +518,34 @@ def test_every_stage_goes_through_make_rhs(monkeypatch, text, dim, m, start, cal
     # step, plus 1 per accepted step off the torus
     f = ScalarField.from_text(text, dim)
     pts = critpoint.find_critical_points(f, m)
-    make_rhs, n = flow.make_rhs, [0]
-
-    def counting_make_rhs(fld, mm):
-        rhs = make_rhs(fld, mm)
-
-        def counted(y):
-            n[0] += 1
-            return rhs(y)
-        return counted
-    monkeypatch.setattr(flow, "make_rhs", counting_make_rhs)
+    n = count_rhs_evals(monkeypatch)
     traj = flow.integrate(f, m, start, points=pts)
     assert (n[0], len(traj.times) - 1) == (calls, accepted)
+
+
+@pytest.mark.parametrize("text, name", [
+    (_TORUS2 + " + 0.05*cos(2*pi*(x1 + x2))", "torus2"),
+    ("(0.912345*x2^2 + 2.234567*x3^2 - 0.031234*x2*x3)/(x1^2 + x2^2 + x3^2)", "rp2"),
+    ("log(2 + cos(2*pi*8*x1)) + 0.1*sin(2*pi*x1)", "circle"),
+])
+def test_scalar_gradient_is_evaluated_by_the_flow_only(monkeypatch, text, name):
+    # the sweep, classification and the seed directions take numpy
+    # derivatives; the scalar gradient serves the RHS alone, as a tracer
+    # wrapping both sees
+    m = geometry.parse_manifold(name)
+    f = ScalarField.from_text(text, m.ambient_dim)
+    grad, grads = f._grad, [0]
+
+    def counted_grad(*x):
+        grads[0] += 1
+        return grad(*x)
+    f._grad = counted_grad
+    pts = critpoint.find_critical_points(f, m, 64 if m.n == 1 else None)
+    assert grads[0] == 0
+    rhs_evals = count_rhs_evals(monkeypatch)
+    counts = flow.connection_counts(f, m, pts)
+    assert counts and not any(c.flagged for c in counts)
+    assert grads[0] == rhs_evals[0] > 0
 
 
 def test_stalled_seed_retired_long_before_t_max():
@@ -520,7 +557,8 @@ def test_stalled_seed_retired_long_before_t_max():
     stalled = []
     for p in pts:
         if p.index == 1:
-            for start in flow._seed_states(m, p, flow._unstable_direction(f, m, p)):
+            v = flow._unstable_direction(m, p, frame_hessian(f, m, p))
+            for start in flow._seed_states(m, p, v):
                 try:
                     flow.integrate(f, m, start, points=pts)
                 except NoConvergenceError as exc:
@@ -549,6 +587,31 @@ def test_connection_counts_build_one_capture_lookup(monkeypatch, text, dim, name
     counts = flow.connection_counts(f, m, pts)
     assert len(built) == 1
     assert counts and not any(c.flagged for c in counts)
+
+
+def test_one_frame_hessians_call_per_count(monkeypatch):
+    # the two saddles, each scanned forward and backward: four ends, one batch
+    m = geometry.torus(2)
+    f = ScalarField.from_text(_TORUS2 + " + 0.05*cos(2*pi*(x1 + x2))", 2)
+    pts = critpoint.find_critical_points(f, m)
+    frame_hessians, rows = flow.frame_hessians, []
+
+    def counting(field, mm, X):
+        rows.append(len(X))
+        return frame_hessians(field, mm, X)
+    monkeypatch.setattr(flow, "frame_hessians", counting)
+    flow.connection_counts(f, m, pts)
+    assert rows == [4]
+
+
+def test_no_pair_of_adjacent_indices_counts_nothing():
+    # a 2-seed grid finds two maxima of cos(16 pi x) and no minimum: no
+    # index-1 end, and no frame Hessian, to take
+    m = geometry.parse_manifold("circle")
+    f = ScalarField.from_text("cos(2*pi*8*x1)", 1)
+    pts = critpoint.find_critical_points(f, m, 2)
+    assert [p.index for p in pts] == [1, 1]
+    assert flow.connection_counts(f, m, pts) == []
 
 
 def test_integrate_with_a_given_lookup_equals_its_own(torus):
@@ -626,9 +689,9 @@ def test_each_index1_end_is_scanned_once_per_direction(monkeypatch, text, name, 
     seen = []
     original = flow._scan
 
-    def counting(field, m, p, capture, t_max, backward=False):
+    def counting(field, m, p, H, capture, t_max, backward=False):
         seen.append((p.id, backward))
-        return original(field, m, p, capture, t_max, backward)
+        return original(field, m, p, H, capture, t_max, backward)
     monkeypatch.setattr(flow, "_scan", counting)
     counts = flow.connection_counts(f, m, pts)
     assert seen == scans

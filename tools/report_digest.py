@@ -13,8 +13,9 @@ exit code, stdout and stderr.  Lift loop files are written to a temporary
 directory whose path is replaced by a fixed token before hashing, since
 `maslov` reports embed the loop path.  It prints one sha256 per workload,
 one over EXAMPLES, requests the benchmark never makes (the README's
-examples, every subcommand and output format, and the usage errors), and
-the total of these four; run it on two checkouts and compare the totals.
+examples, every subcommand and output format, fields with exp and log,
+floer off the circle, and the usage errors), and the total of these four;
+run it on two checkouts and compare the totals.
 """
 
 from __future__ import annotations
@@ -55,6 +56,14 @@ EXAMPLES = (
      "(x2^2 + 2*x3^2 + 3*x4^2) / (x1^2 + x2^2 + x3^2 + x4^2)"),
     ("homology", "--manifold", "torusN:3", "--function",
      "cos(2*pi*x1) + cos(2*pi*x2) + cos(2*pi*x3)"),
+    # exp and log, whose numpy values differ from math's in the last bit on
+    # some inputs, and floer off the circle
+    ("critpoints", "--manifold", "sphere2", "--function", "x3 + 0.1*exp(x1)*x2"),
+    ("homology", *CIRCLE, "log(2 + cos(2*pi*x1)) + 0.1*sin(2*pi*x1)"),
+    ("floer", "--base", "torus2", "--function",
+     "exp(cos(2*pi*x1)) + cos(2*pi*x2) + 0.05*sin(2*pi*(x1+2*x2))"),
+    ("floer", "--base", "rp2", "--function", "(x1^2+2*x2^2+3*x3^2)/(x1^2+x2^2+x3^2)"),
+    ("floer", "--base", "sphere2", "--function", "x3 + 0.1*x1*x2"),
     ("critpoints", *TORUS, "--out", "csv"),
     ("flow", *TORUS, "--from", "0.2,0.3", "--out", "json"),
     # usage errors
