@@ -1,7 +1,9 @@
 """Command line entry point.
 
 Subcommands: critpoints, flow, connections, homology, floer, maslov,
-arnold.  `build_parser` declares every option once, with its type,
+arnold.  All but maslov take their critical points from `pipeline.locate`,
+which validates the field, sweeps once and refuses point sets no Morse
+function has.  `build_parser` declares every option once, with its type,
 default and choices.  A --config file (flat key=value lines, # comments,
 keys named like the subcommand's options) is read into --key=value
 tokens placed before the command line's own flags, so flags override
@@ -22,10 +24,9 @@ import warnings
 from . import floer as floer_mod
 from . import flow as flow_mod
 from . import geometry, maslov, novikov
-from .critpoint import find_critical_points
 from .errors import MorseflowError, NoConvergenceError, UsageError
 from .funcexpr import ScalarField
-from .pipeline import run_morse, validate_field
+from .pipeline import locate, run_morse
 
 
 def _config_tokens(ns: argparse.Namespace) -> list[str]:
@@ -80,9 +81,7 @@ def _field_on(ns: argparse.Namespace, manifold_name: str | None):
     if ns.function is None:
         raise UsageError("--function is required")
     m = geometry.parse_manifold(manifold_name)
-    field = ScalarField.from_text(ns.function, m.ambient_dim)
-    validate_field(field, m)
-    return field, m
+    return ScalarField.from_text(ns.function, m.ambient_dim), m
 
 
 def _json_report(payload: dict) -> str:
@@ -102,7 +101,7 @@ def _point_record(p) -> dict:
 
 def _cmd_critpoints(ns: argparse.Namespace) -> str:
     field, m = _field_on(ns, ns.manifold)
-    pts = find_critical_points(field, m, ns.grid)
+    pts = locate(field, m, ns.grid)
     if ns.out == "csv":
         lines = [f"# config: {json.dumps(_report_config(ns), sort_keys=True)}"]
         d = m.ambient_dim
@@ -134,7 +133,9 @@ def _cmd_flow(ns: argparse.Namespace) -> str:
     if m.kind == "torus":
         # a tiny negative v % 1.0 is 1.0; the second mod makes it 0
         start = tuple(v % 1.0 % 1.0 for v in start)
-    pts = find_critical_points(field, m, ns.grid)
+    elif not any(start):
+        raise UsageError(f"--from is the zero vector, which is no point of {m.name}")
+    pts = locate(field, m, ns.grid)
     try:
         traj = flow_mod.integrate(field, m, start, t_max=ns.tmax, points=pts)
         status = "captured"
@@ -170,7 +171,7 @@ def _count_record(c) -> dict:
 
 def _cmd_connections(ns: argparse.Namespace) -> str:
     field, m = _field_on(ns, ns.manifold)
-    pts = find_critical_points(field, m, ns.grid)
+    pts = locate(field, m, ns.grid)
     counts = flow_mod.connection_counts(field, m, pts, t_max=ns.tmax)
     return _json_report({
         "config": _report_config(ns),

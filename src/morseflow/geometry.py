@@ -118,17 +118,17 @@ def canonicalize(m: ManifoldModel, point) -> np.ndarray:
         q[np.abs(q) < _WRAP_SNAP] = 0.0
         return q
     if m.kind == "sphere":
+        if not p.any():
+            raise DegeneratePointError("cannot normalize a vanishing vector")
         with np.errstate(over="ignore"):
             r = np.linalg.norm(p)
-        if r == np.inf:  # the squares overflow: scale by the largest entry first
+        if not 1e-12 <= r < np.inf:  # squares overflow or underflow: scale by the largest entry
             p = p / np.max(np.abs(p))
             r = np.linalg.norm(p)
-        if r < 1e-12:
-            raise DegeneratePointError("cannot normalize a vanishing vector")
         return p / r
     # projective: scale so the first coordinate of largest magnitude equals 1
     pivot = int(np.argmax(np.abs(p)))
-    if abs(p[pivot]) < 1e-12:
+    if p[pivot] == 0:
         raise DegeneratePointError("cannot canonicalize the zero vector")
     return p / p[pivot]
 

@@ -55,15 +55,9 @@ class MorseRun:
     morse: bool
 
 
-def run_morse(field: ScalarField, m: geometry.ManifoldModel,
-              grid: int | None = None, t_max: float = flow.T_MAX_DEFAULT) -> MorseRun:
-    """Critical points, connection counts, complex, ranks, inequalities.
-
-    Refuses (DomainError) critical points no Morse function on m has: an
-    Euler characteristic other than m's, or no minimum or no maximum; ranks
-    with b0 or bn other than 1, which no closed connected m has; and ranks
-    built on a flagged count, which is not a count of flow lines.
-    """
+def locate(field: ScalarField, m: geometry.ManifoldModel, grid: int | None = None) -> list:
+    """The one way a request reaches the sweep: validate field on m, sweep once, and refuse
+    (DomainError) points no Morse function on m has: chi other than m's, no min or no max."""
     validate_field(field, m)
     points = find_critical_points(field, m, grid)
     chi = sum((-1) ** p.index for p in points)
@@ -72,6 +66,16 @@ def run_morse(field: ScalarField, m: geometry.ManifoldModel,
         raise DomainError(f"critical points have Euler characteristic {chi} ({m.name}: "
                           f"{m.euler}) and indices {indices} (need 0 and {m.n}): "
                           "points were missed or the function is not Morse")
+    return points
+
+
+def run_morse(field: ScalarField, m: geometry.ManifoldModel,
+              grid: int | None = None, t_max: float = flow.T_MAX_DEFAULT) -> MorseRun:
+    """`locate`'s critical points, then connection counts, complex, ranks and
+    inequalities.  Refuses (DomainError) ranks with b0 or bn other than 1, which
+    no closed connected m has, and ranks built on a flagged count, which is not
+    a count of flow lines."""
+    points = locate(field, m, grid)
     counts = flow.connection_counts(field, m, points, t_max=t_max)
     cx = gf2chain.build_complex(points, counts)
     ranks = gf2chain.homology_ranks(cx)

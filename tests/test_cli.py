@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from morseflow import cli, floer, flow, geometry, maslov
+from morseflow import cli, floer, flow, geometry, maslov, pipeline
 from morseflow.funcexpr import ScalarField
 
 TORUS_ARGS = ["--manifold", "torus2", "--function", "cos(2*pi*x1) + cos(2*pi*x2)"]
@@ -183,6 +183,11 @@ def test_parser_defaults_are_the_library_defaults():
         assert ns.tmax == flow.T_MAX_DEFAULT
 
 
+SWEEPING = ["critpoints", "connections", "flow", "homology", "arnold", "floer"]
+_FLOW_START = {"sphere2": "0.6,0,0.8", "circle": "0.2", "torus2": "0.2,0.3"}
+
+
+@pytest.mark.parametrize("cmd", SWEEPING)
 @pytest.mark.parametrize("argv,needle", [
     # the sweep misses the minimum on the x1 = 0 kink; the two maxima it finds
     # have the Euler characteristic 2 of S^2, but there is no minimum
@@ -191,9 +196,23 @@ def test_parser_defaults_are_the_library_defaults():
     # a 3-point grid finds two minima and one maximum of cos(16 pi x)
     (["--manifold", "circle", "--function", "cos(2*pi*8*x1)", "--grid", "3"],
      "Euler characteristic 1 (circle: 0)"),
+    # a narrow dip on a slope adds a minimum and a saddle near (0.25, 0.3);
+    # the 64-point grid finds the saddle but not the minimum: 5 points
+    (["--manifold", "torus2", "--function", "cos(2*pi*x1) + cos(2*pi*x2) - 0.2*exp(400*("
+      "cos(2*pi*(x1-0.25)) + cos(2*pi*(x2-0.3)) - 2))", "--grid", "64"],
+     "Euler characteristic -1 (torus2: 0)"),
+    # scaled by 1e6, only the maximum converges below the residual tolerance
+    (["--manifold", "torus2", "--function",
+      "1e6*(cos(2*pi*x1) + cos(2*pi*x2) + 0.05*sin(2*pi*(x1+2*x2)))"],
+     "Euler characteristic 1 (torus2: 0) and indices [2]"),
+    # a constant: every seed is a degenerate minimum
+    (["--manifold", "torus2", "--function", "0*x1"],
+     "Euler characteristic 256 (torus2: 0)"),
 ])
-def test_impossible_critical_points_refused(capsys, argv, needle):
-    code, out, err = run_cli(capsys, ["homology"] + argv)
+def test_impossible_critical_points_refused(capsys, cmd, argv, needle):
+    if cmd == "flow":
+        argv = argv + ["--from", _FLOW_START[argv[1]]]
+    code, out, err = run_cli(capsys, [cmd] + argv)
     assert code == 1
     assert out == ""
     assert err.startswith("morseflow: error:")
@@ -304,6 +323,25 @@ def test_flow_start_with_overflowing_norm(capsys):
                                           "--from", start])
         assert code == 0 and err == ""
         assert out.split("\n")[1:] == want.split("\n")[1:]
+
+
+def test_flow_start_with_vanishing_norm(capsys):
+    # the squares of 1e-300 underflow to 0; each start is still the point
+    # (1, 0, 0), the same flow as from (1, 0, 0) itself
+    _, want, _ = run_cli(capsys, ["flow", "--manifold", "sphere2", "--function", "x3",
+                                  "--from", "1,0,0"])
+    for start in ("1e-13,0,0", "1e-300,0,0", "5e-324,0,0"):
+        code, out, err = run_cli(capsys, ["flow", "--manifold", "sphere2", "--function", "x3",
+                                          "--from", start])
+        assert code == 0 and err == ""
+        assert out.split("\n")[1:] == want.split("\n")[1:]
+    # on RP^2 a start times 2^-1000 is the same point
+    rp2 = ["flow", "--manifold", "rp2", "--function", "(x1^2+2*x2^2+3*x3^2)/(x1^2+x2^2+x3^2)"]
+    _, want, _ = run_cli(capsys, rp2 + ["--from", "1,0.2,0.1"])
+    start = ",".join(repr(v * 2.0 ** -1000) for v in (1, 0.2, 0.1))
+    code, out, err = run_cli(capsys, rp2 + ["--from", start])
+    assert code == 0 and err == ""
+    assert out.split("\n")[1:] == want.split("\n")[1:]
 
 
 def test_torus_flow_start_is_reduced_mod_1(capsys):
@@ -493,16 +531,31 @@ def test_non_finite_start_ends_without_traceback(capsys, argv):
     TORUS_ARGS + ["--from", "nan,0.5"],
     TORUS_ARGS + ["--from", "0.5,inf"],
     ["--manifold", "sphere2", "--function", "x3", "--from", "nan,0,1"],
+    ["--manifold", "sphere2", "--function", "x3", "--from", "0,0,0"],
 ])
 def test_non_finite_start_is_usage_error_before_the_sweep(capsys, monkeypatch, argv):
     def sweep(*args, **kwargs):
         raise AssertionError("the critical-point sweep ran")
-    monkeypatch.setattr(cli, "find_critical_points", sweep)
+    monkeypatch.setattr(pipeline, "find_critical_points", sweep)
     t0 = time.perf_counter()
     code, out, err = run_cli(capsys, ["flow"] + argv)
     assert time.perf_counter() - t0 < 1.0
     assert (code, out) == (2, "")
     assert err.startswith("morseflow: usage error: --from")
+
+
+@pytest.mark.parametrize("cmd", SWEEPING)
+def test_field_validated_once_per_request(capsys, monkeypatch, cmd):
+    calls = []
+    validate = pipeline.validate_field
+    for module in (pipeline, cli):   # every module that binds it by name
+        if getattr(module, "validate_field", None) is validate:
+            monkeypatch.setattr(module, "validate_field",
+                                lambda *a: calls.append(a) or validate(*a))
+    argv = [cmd] + TORUS_ARGS + (["--from", "0.2,0.3"] if cmd == "flow" else [])
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and out
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("tmax", ["1e-15", "1e-300"])

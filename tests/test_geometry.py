@@ -51,6 +51,16 @@ def test_sphere_canonicalize_survives_overflowing_squares():
     assert geometry.canonicalize(m, (1e308, 0.0, 0.0)).tolist() == [1.0, 0.0, 0.0]
 
 
+def test_canonicalize_scales_tiny_vectors_and_refuses_only_zero():
+    # the squares of 1e-300 underflow; the direction is still (1, 0, 0)
+    s, rp = geometry.sphere(2), geometry.projective(2)
+    for v in (1e-13, 1e-300, 5e-324):
+        assert geometry.canonicalize(s, (v, 0.0, 0.0)).tolist() == [1.0, 0.0, 0.0]
+        assert geometry.canonicalize(rp, (0.0, -v, 0.0)).tolist() == [0.0, 1.0, 0.0]
+    with pytest.raises(DegeneratePointError):
+        geometry.canonicalize(rp, (0.0, -0.0, 0.0))
+
+
 def test_projective_canonical_pivot_is_one():
     m = geometry.projective(2)
     rng = np.random.default_rng(3)

@@ -14,8 +14,9 @@ directory whose path is replaced by a fixed token before hashing, since
 `maslov` reports embed the loop path.  It prints one sha256 per workload,
 one over EXAMPLES, requests the benchmark never makes (the README's
 examples, every subcommand and output format, fields with exp and log,
-floer off the circle, and the usage errors), and the total of these four;
-run it on two checkouts and compare the totals.
+floer off the circle, connections and flow on rp2, and the usage
+errors), and the total of these four; run it on two checkouts and
+compare the totals.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ LOOP_CSV = "".join(f"{t:.6f},{math.cos(t):.6f},{math.sin(t):.6f}\n"
                    for t in (math.pi * k / 16 for k in range(17)))
 TORUS = ("--manifold", "torus2", "--function", "cos(2*pi*x1) + cos(2*pi*x2)")
 CIRCLE = ("--manifold", "circle", "--function")
+RP2 = ("--manifold", "rp2", "--function", "(x1^2+2*x2^2+3*x3^2)/(x1^2+x2^2+x3^2)")
 EXAMPLES = (
     # the README's examples
     ("critpoints", *TORUS),
@@ -62,10 +64,13 @@ EXAMPLES = (
     ("homology", *CIRCLE, "log(2 + cos(2*pi*x1)) + 0.1*sin(2*pi*x1)"),
     ("floer", "--base", "torus2", "--function",
      "exp(cos(2*pi*x1)) + cos(2*pi*x2) + 0.05*sin(2*pi*(x1+2*x2))"),
-    ("floer", "--base", "rp2", "--function", "(x1^2+2*x2^2+3*x3^2)/(x1^2+x2^2+x3^2)"),
+    ("floer", "--base", *RP2[1:]),
     ("floer", "--base", "sphere2", "--function", "x3 + 0.1*x1*x2"),
     ("critpoints", *TORUS, "--out", "csv"),
     ("flow", *TORUS, "--from", "0.2,0.3", "--out", "json"),
+    # the projective branch of connections and flow
+    ("connections", *RP2),
+    ("flow", *RP2, "--from", "1,0.2,0.1", "--out", "json"),
     # usage errors
     ("critpoints", *CIRCLE, "cos(2*pi*x1"),
     ("critpoints", *CIRCLE, "x1^\u00b2"),
