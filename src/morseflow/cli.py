@@ -135,9 +135,9 @@ def _cmd_flow(ns: argparse.Namespace) -> str:
         start = tuple(v % 1.0 % 1.0 for v in start)
     elif not any(start):
         raise UsageError(f"--from is the zero vector, which is no point of {m.name}")
-    pts = locate(field, m, ns.grid)
+    capture = flow_mod.capture_lookup(m, locate(field, m, ns.grid))
     try:
-        traj = flow_mod.integrate(field, m, start, t_max=ns.tmax, points=pts)
+        traj = flow_mod.integrate(field, m, start, capture, t_max=ns.tmax)
         status = "captured"
     except NoConvergenceError as exc:
         traj = exc.trajectory

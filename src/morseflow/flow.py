@@ -19,11 +19,11 @@ f is evaluated only at its two ends, since its energy is f(start) - f(end)
 (Banyaga & Hurtubise, Lectures on Morse Homology, 2004).
 
 A trajectory acquires its sink label when it enters the capture ball
-(radius 1e-4) of a critical point and stays there for 10 consecutive
-accepted steps; the dwell requirement prevents false capture during a
-slow pass near a saddle.  A trajectory that crawls outside every ball for
-STALL_STEPS accepted steps drains towards a critical point the sweep
-missed and is retired unresolved.
+(radius 1e-4) of a critical point, as `capture_lookup` files it, and
+stays there for 10 consecutive accepted steps; the dwell requirement
+prevents false capture during a slow pass near a saddle.  A trajectory
+that crawls outside every ball for STALL_STEPS accepted steps drains
+towards a critical point the sweep missed and is retired unresolved.
 
 Counting M(f; p, q) for index difference one: the unstable sphere of an
 index-1 point is two antipodal seeds, and each seed trajectory is itself
@@ -195,61 +195,52 @@ def array_rhs(field: ScalarField, m: geometry.ManifoldModel):
     return f
 
 
-# --- capture targets ----------------------------------------------------------
+# --- capture lookup ----------------------------------------------------------------
 
-def _capture_targets(m: geometry.ManifoldModel, points: list[CriticalPoint]):
-    targets = []
-    for cp in points:
-        if m.kind == "projective":
-            u = geometry.unit_lift(m, cp.location)
-            targets.append((cp.id, (tuple(u), tuple(-u))))
-        else:
-            targets.append((cp.id, (tuple(cp.location),)))
-    return targets
-
-
-def _target_distance(m: geometry.ManifoldModel, y, reps) -> float:
+def _distance(m: geometry.ManifoldModel, y, c) -> float:
+    """Distance from y to the representative c, mod 1 per coordinate on the torus."""
     torus = m.kind == "torus"
-    best = math.inf
-    for c in reps:
-        s = 0.0
-        for yi, ci in zip(y, c):
-            d = yi - ci
-            if torus:
-                d = abs(d) % 1.0
-                if d > 0.5:
-                    d = 1.0 - d
-            s += d * d
-        if s < best:
-            best = s
-    return math.sqrt(best)
+    s = 0.0
+    for yi, ci in zip(y, c):
+        d = yi - ci
+        if torus:
+            d = abs(d) % 1.0
+            if d > 0.5:
+                d = 1.0 - d
+        s += d * d
+    return math.sqrt(s)
 
 
-def _capture_lookup(m: geometry.ManifoldModel, points: list[CriticalPoint]):
+def capture_lookup(m: geometry.ManifoldModel, points: list[CriticalPoint]):
     """y -> id of the first point (in list order) whose capture ball holds y.
 
-    Gives what testing every point in turn gives, but measures only the
-    representatives filed under y's cell: floor(CELLS * y_i) in each of the
-    first KEY_DIMS coordinates, mod CELLS on the torus.  Each representative
-    c is filed under every cell from floor(CELLS * (c_i - 1.5 r)) to
-    floor(CELLS * (c_i + 1.5 r)) in those coordinates: a point of the ball
-    lies within r of c_i in every coordinate, flooring is monotone, and the
-    extra half radius absorbs rounding.  Keying on at most three coordinates
-    files at most 27 cells per representative in any dimension; the distance
-    test decides the rest.  A non-finite y lies in no ball."""
+    Each point is filed once per representative: its location on the torus
+    and the sphere, on RP^n its unit lift u, then -u.  The lookup gives what
+    testing every representative in turn gives, but measures only those
+    filed under y's cell: floor(CELLS * y_i) in each of the first KEY_DIMS
+    coordinates, mod CELLS on the torus.  Each representative c is filed
+    under every cell from floor(CELLS * (c_i - 1.5 r)) to floor(CELLS *
+    (c_i + 1.5 r)) in those coordinates: a point of the ball lies within r
+    of c_i in every coordinate, flooring is monotone, and the extra half
+    radius absorbs rounding.  Keying on at most three coordinates files at
+    most 27 cells per representative in any dimension; the distance test
+    decides the rest.  A non-finite y lies in no ball."""
     torus = m.kind == "torus"
-    targets = _capture_targets(m, points)
     key_dims = min(m.ambient_dim, KEY_DIMS)
     reach = 1.5 * CAPTURE_RADIUS
     cells: dict = {}
-    for k, (_, cs) in enumerate(targets):
-        for c in cs:
+    for cp in points:
+        reps = (tuple(cp.location),)
+        if m.kind == "projective":
+            u = geometry.working_point(m, cp.location)
+            reps = (tuple(u), tuple(-u))
+        for c in reps:
             spans = [range(math.floor((v - reach) * CELLS), math.floor((v + reach) * CELLS) + 1)
                      for v in c[:key_dims]]
             for key in itertools.product(*spans):
                 if torus:
                     key = tuple(j % CELLS for j in key)
-                cells.setdefault(key, []).append((k, c))
+                cells.setdefault(key, []).append((cp.id, c))
 
     def cell(y):
         # y_i % 1.0 is 1.0 for a tiny negative y_i: the outer mod makes that cell 0
@@ -262,27 +253,25 @@ def _capture_lookup(m: geometry.ManifoldModel, points: list[CriticalPoint]):
             key = cell(y)
         except (ValueError, OverflowError):   # floor of a NaN or an infinity
             return None
-        for k, c in cells.get(key, ()):
-            if _target_distance(m, y, (c,)) < CAPTURE_RADIUS:
-                return targets[k][0]
+        for cid, c in cells.get(key, ()):
+            if _distance(m, y, c) < CAPTURE_RADIUS:
+                return cid
         return None
     return lookup
 
 
 # --- integration ------------------------------------------------------------------
 
-def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
-              t_max: float = T_MAX_DEFAULT, points: list[CriticalPoint] | None = None,
-              source_label: int | None = None, backward: bool = False,
-              capture=None) -> Trajectory:
+def integrate(field: ScalarField, m: geometry.ManifoldModel, start, capture,
+              t_max: float = T_MAX_DEFAULT, source_label: int | None = None,
+              backward: bool = False) -> Trajectory:
     """Flow `start` down the negative gradient until capture, or up it when
     `backward`: f's step with h negated, the flow of -f.  Times count up
     from 0 either way, and the energy is the drop of f (forward) or its
     rise (backward).  f is evaluated only at the two ends; a start where
-    f is undefined raises DomainError before anything flows.  Pass the
-    critical `points` of the field, or their `_capture_lookup` as
-    `capture`; callers that flow many seeds against one point list build
-    it once.
+    f is undefined raises DomainError before anything flows.  `capture` is
+    the `capture_lookup` of the field's critical points; callers that flow
+    many starts against one point list build it once.
 
     Raises NoConvergenceError (with the partial trajectory attached) when
     t_max elapses before any capture ball claims the endpoint, or when the
@@ -291,15 +280,13 @@ def integrate(field: ScalarField, m: geometry.ManifoldModel, start,
     StepCollapseError when the adaptive step underflows short of t_max or
     when STEPS_PER_TIME * max(t_max, 10) steps do not reach t_max.
     """
-    if capture is None:
-        capture = _capture_lookup(m, points)
     if m.kind == "torus":
         # a far start is reduced mod 1 (twice: a tiny negative v % 1.0 is 1.0);
         # seeds lie within SEED_EPS of [0, 1) and keep their bits
         y = tuple(v if -1.0 <= v < 2.0 else v % 1.0 % 1.0
                   for v in np.atleast_1d(np.asarray(start, dtype=float)).tolist())
     else:
-        y = tuple(float(v) for v in geometry.unit_lift(m, start))
+        y = tuple(float(v) for v in geometry.working_point(m, start))
     rhs = make_rhs(field, m)
     step = _compiled(m)[1](rhs)
     sign = -1.0 if backward else 1.0
@@ -385,7 +372,7 @@ def _seed_states(m: geometry.ManifoldModel, p: CriticalPoint, v: np.ndarray) -> 
     dirs = np.array([v, -v])
     if m.kind == "torus":
         return np.asarray(p.location) + SEED_EPS * dirs
-    u = geometry.unit_lift(m, p.location)
+    u = geometry.working_point(m, p.location)
     w = u + SEED_EPS * (dirs @ geometry.tangent_frame(m, u).T)
     return w / np.linalg.norm(w, axis=1, keepdims=True)
 
@@ -400,8 +387,8 @@ def _scan(field, m, p, H, capture, t_max, backward=False):
     trajs = []
     for start in _seed_states(m, p, _unstable_direction(m, p, H, backward)):
         try:
-            trajs.append(integrate(field, m, start, t_max=t_max, source_label=p.id,
-                                   backward=backward, capture=capture))
+            trajs.append(integrate(field, m, start, capture, t_max=t_max, source_label=p.id,
+                                   backward=backward))
         except NoConvergenceError as exc:
             trajs.append(exc.trajectory)
     return trajs
@@ -434,7 +421,7 @@ def _count_pairs(field, m, pairs, points, t_max):
             raise SourceIndexError(
                 f"pair {p.id} -> {q.id} on {m.name} has source index {p.index} under f "
                 f"and {m.n - q.index} under -f; counting needs an index-1 source")
-    capture = _capture_lookup(m, points)
+    capture = capture_lookup(m, points)
 
     def end(p, q):              # a pair's index-1 end, and whether it flows backward
         return (p, False) if p.index == 1 else (q, True)

@@ -11,8 +11,9 @@ Point conventions
   expressions in the n+1 homogeneous variables.
 
 Gradient flow on RP^n is run upstairs on the unit-sphere double cover
-(a local isometry for the round quotient metric), so this module also
-exposes the unit lift and a deterministic orthonormal tangent frame.
+(a local isometry for the round quotient metric); `working_point` maps a
+point to the flow's coordinates, the torus chart or the unit sphere, and
+`tangent_frame` gives a deterministic orthonormal tangent frame there.
 """
 
 from __future__ import annotations
@@ -133,22 +134,13 @@ def canonicalize(m: ManifoldModel, point) -> np.ndarray:
     return p / p[pivot]
 
 
-def unit_lift(m: ManifoldModel, point) -> np.ndarray:
-    """Unit-sphere representative of a sphere or projective point."""
-    p = canonicalize(m, point)
-    if m.kind == "torus":
-        raise DimensionError("unit_lift applies to sphere and projective models")
-    if m.kind == "sphere":
-        return p
-    return p / np.linalg.norm(p)
-
-
 def working_point(m: ManifoldModel, point) -> np.ndarray:
-    """A point in working coordinates: its chart vector on the torus, else
-    its unit-sphere representative."""
+    """A point in working coordinates: its chart vector on the torus, else the
+    unit vector along its canonical representative."""
     if m.kind == "torus":
         return np.asarray(point, dtype=float)
-    return unit_lift(m, point)
+    p = canonicalize(m, point)
+    return p if m.kind == "sphere" else p / np.linalg.norm(p)
 
 
 def distance(m: ManifoldModel, a, b):
@@ -173,11 +165,11 @@ def tangent_frame(m: ManifoldModel, point) -> np.ndarray:
     """Deterministic orthonormal basis of the tangent space, as columns.
 
     For the torus this is the identity chart frame.  For sphere/projective
-    models the frame spans the orthogonal complement of the unit lift.
+    models the frame spans the orthogonal complement of `working_point`.
     """
     if m.kind == "torus":
         return np.eye(m.n)
-    p = unit_lift(m, point)
+    p = working_point(m, point)
     cols = []
     for k in range(m.n + 1):
         v = np.zeros(m.n + 1)

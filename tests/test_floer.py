@@ -146,7 +146,7 @@ def test_strip_area_scales_linearly_in_epsilon(torus_run):
 def test_strip_area_constant_trajectory_is_zero(torus_run):
     f, m, run = torus_run
     mx = next(p for p in run.points if p.index == 2)
-    traj = flow.integrate(f, m, mx.location, t_max=5.0, points=run.points)
+    traj = flow.integrate(f, m, mx.location, flow.capture_lookup(m, run.points), t_max=5.0)
     [w] = floer.strip_area_check(f, m, [traj], epsilon=0.05, points=run.points)
     assert w.analytic == 0.0 and w.quadrature == 0.0 and w.agrees
 
@@ -181,7 +181,7 @@ def test_strip_area_constant_partials_broadcast():
     m = geometry.sphere(2)
     pts = critpoint.find_critical_points(f, m)
     top = next(p for p in pts if p.index == 2)
-    traj = flow.integrate(f, m, (0.01, 0.0, 1.0), points=pts, source_label=top.id)
+    traj = flow.integrate(f, m, (0.01, 0.0, 1.0), flow.capture_lookup(m, pts), source_label=top.id)
     [w] = floer.strip_area_check(f, m, [traj], epsilon=0.05, points=pts)
     assert w.analytic == pytest.approx(0.1, abs=1e-15)
     assert abs(w.quadrature - 0.1) <= 1e-12
@@ -229,7 +229,7 @@ def _reference_nearest_lift(m, cp, anchor):
     if m.kind == "torus":
         c = np.asarray(cp.location)
         return c + np.round(np.asarray(anchor) - c)
-    u = geometry.unit_lift(m, cp.location)
+    u = geometry.working_point(m, cp.location)
     if m.kind == "projective" and float(np.dot(np.asarray(anchor), u)) < 0.0:
         return -u
     return u
@@ -238,7 +238,7 @@ def _reference_nearest_lift(m, cp, anchor):
 def _reference_value(f, m, cp):
     if m.kind == "torus":
         return f.value(cp.location)
-    return f.value(geometry.unit_lift(m, cp.location))
+    return f.value(geometry.working_point(m, cp.location))
 
 
 def _reference_strip(f, m, traj, epsilon, points):
@@ -299,7 +299,7 @@ def test_strip_pass_equals_reference_on_sphere_x3():
     m = geometry.sphere(2)
     pts = critpoint.find_critical_points(f, m)
     top = next(p for p in pts if p.index == 2)
-    trajs = [flow.integrate(f, m, start, points=pts, source_label=top.id)
+    trajs = [flow.integrate(f, m, start, flow.capture_lookup(m, pts), source_label=top.id)
              for start in ((0.01, 0.0, 1.0), top.location, (-0.02, 0.03, 1.0))]
     assert [len(t.points) == 1 for t in trajs] == [False, True, False]
     _assert_equals_reference(f, m, trajs, pts)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morseflow import critpoint, floer, flow, geometry, pipeline
+from morseflow import cli, critpoint, floer, flow, geometry, pipeline
 from morseflow.errors import (
     DomainError,
     IndexGapError,
@@ -46,7 +46,7 @@ def sphere():
 
 def test_integrate_torus_segment(torus):
     f, m, pts = torus
-    traj = flow.integrate(f, m, (0.25, 0.5), t_max=200.0, points=pts)
+    traj = flow.integrate(f, m, (0.25, 0.5), flow.capture_lookup(m, pts), t_max=200.0)
     minimum = next(p for p in pts if p.index == 0)
     assert traj.sink_label == minimum.id
     assert geometry.distance(m, traj.points[-1], (0.5, 0.5)) < 1e-3
@@ -54,7 +54,7 @@ def test_integrate_torus_segment(torus):
 
 def test_f_monotone_and_energy_positive(torus):
     f, m, pts = torus
-    traj = flow.integrate(f, m, (0.23, 0.41), t_max=200.0, points=pts)
+    traj = flow.integrate(f, m, (0.23, 0.41), flow.capture_lookup(m, pts), t_max=200.0)
     vals = np.array([f.value(y) for y in traj.points])
     assert np.all(np.diff(vals) <= 1e-9)
     assert traj.energy > 0
@@ -64,7 +64,7 @@ def test_f_monotone_and_energy_positive(torus):
 def test_start_at_critical_point_is_constant(torus):
     f, m, pts = torus
     mx = next(p for p in pts if p.index == 2)
-    traj = flow.integrate(f, m, mx.location, t_max=10.0, points=pts)
+    traj = flow.integrate(f, m, mx.location, flow.capture_lookup(m, pts), t_max=10.0)
     assert traj.sink_label == mx.id
     assert len(traj.points) == 1
     assert traj.energy == 0.0
@@ -72,7 +72,7 @@ def test_start_at_critical_point_is_constant(torus):
 
 def test_integrate_sphere_equator_to_south(sphere):
     f, m, pts = sphere
-    traj = flow.integrate(f, m, (1.0, 0.0, 0.0), t_max=200.0, points=pts)
+    traj = flow.integrate(f, m, (1.0, 0.0, 0.0), flow.capture_lookup(m, pts), t_max=200.0)
     south = next(p for p in pts if p.index == 0)
     assert traj.sink_label == south.id
     for y in traj.points:  # stays on the sphere
@@ -85,7 +85,7 @@ def frame_hessian(f, m, p):
 
 
 def scan(f, m, p, pts):
-    return flow._scan(f, m, p, frame_hessian(f, m, p), flow._capture_lookup(m, pts),
+    return flow._scan(f, m, p, frame_hessian(f, m, p), flow.capture_lookup(m, pts),
                       flow.T_MAX_DEFAULT)
 
 
@@ -103,11 +103,11 @@ def test_basin_scan_index2_all_reach_minimum(torus):
     f, m, pts = torus
     mx = next(p for p in pts if p.index == 2)
     minimum = next(p for p in pts if p.index == 0)
-    sinks = []
+    capture, sinks = flow.capture_lookup(m, pts), []
     for k in range(32):
         v = np.array([np.cos(np.pi * k / 32), np.sin(np.pi * k / 32)])
         for start in flow._seed_states(m, mx, v):
-            sinks.append(flow.integrate(f, m, start, points=pts).sink_label)
+            sinks.append(flow.integrate(f, m, start, capture).sink_label)
     assert len(sinks) == 64
     # almost every seed drains to the minimum; a seed landing exactly on a
     # separatrix is captured by the saddle it runs into
@@ -300,7 +300,7 @@ def test_classify_division_by_zero_is_domain_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
-            flow.integrate(f, m, (0.0, 0.6, 0.8), points=pts)  # on x1 = 0
+            flow.integrate(f, m, (0.0, 0.6, 0.8), flow.capture_lookup(m, pts))  # on x1 = 0
 
 
 def test_flow_along_a_kink_collapses_within_the_step_budget():
@@ -311,7 +311,38 @@ def test_flow_along_a_kink_collapses_within_the_step_budget():
     m = geometry.sphere(2)
     pts = critpoint.find_critical_points(f, m)
     with pytest.raises(StepCollapseError, match=r"at t=3\.2.* after 10000 steps"):
-        flow.integrate(f, m, (0.3, 0.5, 0.8), t_max=5.0, points=pts)
+        flow.integrate(f, m, (0.3, 0.5, 0.8), flow.capture_lookup(m, pts), t_max=5.0)
+
+
+def _capture_targets(m, points):
+    """(id, representatives) of each point, in list order: the oracle that
+    capture_lookup's cells must agree with."""
+    targets = []
+    for cp in points:
+        if m.kind == "projective":
+            u = geometry.working_point(m, cp.location)
+            targets.append((cp.id, (tuple(u), tuple(-u))))
+        else:
+            targets.append((cp.id, (tuple(cp.location),)))
+    return targets
+
+
+def _target_distance(m, y, reps) -> float:
+    """Distance from y to the nearest of `reps`, every one measured in turn."""
+    torus = m.kind == "torus"
+    best = math.inf
+    for c in reps:
+        s = 0.0
+        for yi, ci in zip(y, c):
+            d = yi - ci
+            if torus:
+                d = abs(d) % 1.0
+                if d > 0.5:
+                    d = 1.0 - d
+            s += d * d
+        if s < best:
+            best = s
+    return math.sqrt(best)
 
 
 def _points(locations):
@@ -345,7 +376,7 @@ _LOOKUP_CASES = [
 @given(case=st.sampled_from(_LOOKUP_CASES), data=st.data())
 def test_capture_lookup_matches_every_target_in_turn(case, data):
     m, pts = case
-    targets = flow._capture_targets(m, pts)
+    targets = _capture_targets(m, pts)
     _, reps = targets[data.draw(st.integers(0, len(targets) - 1))]
     c = np.asarray(reps[data.draw(st.integers(0, len(reps) - 1))])
     scale = data.draw(st.sampled_from([flow.CAPTURE_RADIUS, 2 * flow.CAPTURE_RADIUS, 0.3]))
@@ -356,8 +387,8 @@ def test_capture_lookup_matches_every_target_in_turn(case, data):
                                             max_size=len(c))))
     y = tuple(float(v) for v in y)
     expected = next((cid for cid, rs in targets
-                     if flow._target_distance(m, y, rs) < flow.CAPTURE_RADIUS), None)
-    assert flow._capture_lookup(m, pts)(y) == expected
+                     if _target_distance(m, y, rs) < flow.CAPTURE_RADIUS), None)
+    assert flow.capture_lookup(m, pts)(y) == expected
 
 
 @pytest.mark.parametrize("y", [(-1e-20, 0.3), (-3.0, 0.3), (1.0 - 2 ** -53, 0.3),
@@ -365,19 +396,19 @@ def test_capture_lookup_matches_every_target_in_turn(case, data):
 def test_capture_lookup_wraps_the_seam(y):
     # for a tiny negative y, y % 1.0 is 1.0, on the far side of the seam
     m, pts = _LOOKUP_CASES[0]
-    expected = next((cid for cid, rs in flow._capture_targets(m, pts)
-                     if flow._target_distance(m, y, rs) < flow.CAPTURE_RADIUS), None)
+    expected = next((cid for cid, rs in _capture_targets(m, pts)
+                     if _target_distance(m, y, rs) < flow.CAPTURE_RADIUS), None)
     assert expected is not None
-    assert flow._capture_lookup(m, pts)(y) == expected
+    assert flow.capture_lookup(m, pts)(y) == expected
 
 
 @pytest.mark.parametrize("case", range(len(_LOOKUP_CASES)))
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_capture_lookup_puts_non_finite_points_in_no_ball(case, bad):
     m, pts = _LOOKUP_CASES[case]
-    c = flow._capture_targets(m, pts)[0][1][0]
+    c = _capture_targets(m, pts)[0][1][0]
     for i in range(len(c)):
-        assert flow._capture_lookup(m, pts)(c[:i] + (bad,) + c[i + 1:]) is None
+        assert flow.capture_lookup(m, pts)(c[:i] + (bad,) + c[i + 1:]) is None
 
 
 def _reference_rhs(grad, m):
@@ -398,7 +429,7 @@ def _reference_rhs(grad, m):
 def _reference_integrate(field, m, y, points, t_max=flow.T_MAX_DEFAULT):
     """The textbook Dormand-Prince stage loop (times, points, f values), with
     integrate's step control, renormalisation off the torus and capture dwell."""
-    rhs, capture = _reference_rhs(field._grad, m), flow._capture_lookup(m, points)
+    rhs, capture = _reference_rhs(field._grad, m), flow.capture_lookup(m, points)
     times, ys, fs = [0.0], [y], [field.value(y)]
     t, h, k1, dwell_id, dwell = 0.0, 1e-3, rhs(y), None, 0
     while t < t_max and dwell < flow.CAPTURE_DWELL:
@@ -454,8 +485,8 @@ _TORUS2 = "cos(2*pi*x1) + cos(2*pi*x2)"
 def test_compiled_step_is_bitwise_the_stage_loop(m, text, start, grid):
     f = ScalarField.from_text(text, m.ambient_dim)
     pts = critpoint.find_critical_points(f, m, grid)
-    traj = flow.integrate(f, m, start, points=pts)
-    y = tuple(float(v) for v in (start if m.kind == "torus" else geometry.unit_lift(m, start)))
+    traj = flow.integrate(f, m, start, flow.capture_lookup(m, pts))
+    y = tuple(float(v) for v in geometry.working_point(m, start))
     assert traj.sink_label is not None and len(traj.times) > 20
     assert (traj.times, traj.points) == _reference_integrate(f, m, y, pts)[:2]
 
@@ -472,7 +503,7 @@ def test_backward_flow_is_the_flow_of_minus_f(m, text):
     f = ScalarField.from_text(text, m.ambient_dim)
     neg = ScalarField(Neg(f.expr), f.dim, f"-({text})")
     pts = critpoint.find_critical_points(f, m)
-    capture = flow._capture_lookup(m, pts)
+    capture = flow.capture_lookup(m, pts)
     reps = {(c.source, c.sink): [(r.times, r.points) for r in c.representatives]
             for c in flow.connection_counts(f, m, pts) if pts[c.source].index == m.n}
     assert sum(map(len, reps.values())) >= 2
@@ -482,9 +513,9 @@ def test_backward_flow_is_the_flow_of_minus_f(m, text):
             continue
         v = flow._unstable_direction(m, replace(q, index=1), frame_hessian(neg, m, q))
         for seed in flow._seed_states(m, q, v):
-            y = tuple(float(u) for u in (seed if m.kind == "torus" else geometry.unit_lift(m, seed)))
+            y = tuple(float(u) for u in geometry.working_point(m, seed))
             times, ys, fs = _reference_integrate(neg, m, y, pts)
-            traj = flow.integrate(f, m, seed, points=pts, source_label=q.id, backward=True)
+            traj = flow.integrate(f, m, seed, capture, source_label=q.id, backward=True)
             assert (traj.times, traj.points) == (times, ys)
             assert traj.energy == fs[0] - fs[-1] > 0
             expected[capture(ys[-1]), q.id].append(
@@ -519,7 +550,7 @@ def test_every_stage_goes_through_make_rhs(monkeypatch, text, dim, m, start, cal
     f = ScalarField.from_text(text, dim)
     pts = critpoint.find_critical_points(f, m)
     n = count_rhs_evals(monkeypatch)
-    traj = flow.integrate(f, m, start, points=pts)
+    traj = flow.integrate(f, m, start, flow.capture_lookup(m, pts))
     assert (n[0], len(traj.times) - 1) == (calls, accepted)
 
 
@@ -554,13 +585,13 @@ def test_stalled_seed_retired_long_before_t_max():
     f = ScalarField.from_text("cos(2*pi*3*x1) + cos(2*pi*x2)", 2)
     m = geometry.torus(2)
     pts = critpoint.find_critical_points(f, m, 4)
-    stalled = []
+    capture, stalled = flow.capture_lookup(m, pts), []
     for p in pts:
         if p.index == 1:
             v = flow._unstable_direction(m, p, frame_hessian(f, m, p))
             for start in flow._seed_states(m, p, v):
                 try:
-                    flow.integrate(f, m, start, points=pts)
+                    flow.integrate(f, m, start, capture)
                 except NoConvergenceError as exc:
                     stalled.append(exc)
     assert stalled and all("stalled" in str(exc) for exc in stalled)
@@ -569,24 +600,30 @@ def test_stalled_seed_retired_long_before_t_max():
         assert exc.trajectory.times[-1] < 20.0
 
 
-@pytest.mark.parametrize("text, dim, name, grid", [
-    ("cos(2*pi*x1) + cos(2*pi*x2)", 2, "torus2", None),
-    ("cos(2*pi*16*x1) + 0.2*sin(2*pi*x1)", 1, "circle", 128),
+@pytest.mark.parametrize("text, dim, name, grid, start", [
+    ("cos(2*pi*x1) + cos(2*pi*x2)", 2, "torus2", None, None),
+    ("cos(2*pi*16*x1) + 0.2*sin(2*pi*x1)", 1, "circle", 128, None),
+    # CLI flow, which builds the lookup of its one trajectory itself
+    ("(x1^2+2*x2^2+3*x3^2)/(x1^2+x2^2+x3^2)", 3, "rp2", None, "1,0.2,0.1"),
 ])
-def test_connection_counts_build_one_capture_lookup(monkeypatch, text, dim, name, grid):
+def test_connection_counts_build_one_capture_lookup(monkeypatch, capsys, text, dim, name, grid,
+                                                    start):
     f = ScalarField.from_text(text, dim)
     m = geometry.parse_manifold(name)
-    pts = critpoint.find_critical_points(f, m, grid)
     built = []
-    lookup = flow._capture_lookup
+    lookup = flow.capture_lookup
 
     def counting(*args):
         built.append(args)
         return lookup(*args)
-    monkeypatch.setattr(flow, "_capture_lookup", counting)
-    counts = flow.connection_counts(f, m, pts)
+    monkeypatch.setattr(flow, "capture_lookup", counting)
+    if start is None:
+        counts = flow.connection_counts(f, m, critpoint.find_critical_points(f, m, grid))
+        assert counts and not any(c.flagged for c in counts)
+    else:
+        assert cli.main(["flow", "--manifold", name, "--function", text, "--from", start]) == 0
+        assert "# status: captured" in capsys.readouterr().out
     assert len(built) == 1
-    assert counts and not any(c.flagged for c in counts)
 
 
 def test_one_frame_hessians_call_per_count(monkeypatch):
@@ -615,11 +652,13 @@ def test_no_pair_of_adjacent_indices_counts_nothing():
 
 
 def test_integrate_with_a_given_lookup_equals_its_own(torus):
+    # one lookup shared across both starts, as a count shares it across its
+    # seeds, flows bitwise as a fresh lookup per start
     f, m, pts = torus
-    lookup = flow._capture_lookup(m, pts)
+    lookup = flow.capture_lookup(m, pts)
     for start in ((0.23, 0.61), (0.5 + flow.SEED_EPS, 0.0)):
-        own = flow.integrate(f, m, start, points=pts)
-        shared = flow.integrate(f, m, start, capture=lookup)
+        own = flow.integrate(f, m, start, flow.capture_lookup(m, pts))
+        shared = flow.integrate(f, m, start, lookup)
         assert (shared.times, shared.points) == (own.times, own.points)
         assert shared.sink_label == own.sink_label
 
@@ -635,17 +674,17 @@ def test_integrate_evaluates_f_only_at_the_ends(torus):
         calls.append(y)
         return value(y)
     f.value = counting
-    traj = flow.integrate(f, m, (0.23, 0.41), points=pts)
+    traj = flow.integrate(f, m, (0.23, 0.41), flow.capture_lookup(m, pts))
     assert len(traj.times) > 20 and calls == [traj.points[0], traj.points[-1]]
     assert traj.energy == value(traj.points[0]) - value(traj.points[-1])
     calls.clear()
     with pytest.raises(NoConvergenceError) as ei:
-        flow.integrate(f, m, (0.23, 0.41), t_max=0.05, points=pts)
+        flow.integrate(f, m, (0.23, 0.41), flow.capture_lookup(m, pts), t_max=0.05)
     partial = ei.value.trajectory
     assert len(partial.times) > 2 and calls == [partial.points[0], partial.points[-1]]
     calls.clear()
     mx = next(p for p in pts if p.index == 2)
-    traj = flow.integrate(f, m, mx.location, points=pts)
+    traj = flow.integrate(f, m, mx.location, flow.capture_lookup(m, pts))
     assert (len(calls), traj.sink_label, traj.energy) == (1, mx.id, 0.0)
 
 
@@ -668,8 +707,8 @@ def test_saddle_connection_refused():
 
 def test_far_torus_start_is_reduced_mod_1(torus):
     f, m, pts = torus
-    far = flow.integrate(f, m, (1e17, 0.3), points=pts)
-    near = flow.integrate(f, m, (0.0, 0.3), points=pts)
+    far = flow.integrate(f, m, (1e17, 0.3), flow.capture_lookup(m, pts))
+    near = flow.integrate(f, m, (0.0, 0.3), flow.capture_lookup(m, pts))
     assert far.points == near.points and far.times == near.times
     assert (far.sink_label, far.energy) == (near.sink_label, near.energy)
 

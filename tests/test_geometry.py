@@ -93,7 +93,7 @@ def test_tangent_frame_orthonormal():
         F = geometry.tangent_frame(m, x)
         assert F.shape == (3, 2)
         assert np.allclose(F.T @ F, np.eye(2), atol=1e-12)
-        lift = geometry.unit_lift(m, x)
+        lift = geometry.working_point(m, x)
         assert np.allclose(F.T @ lift, 0.0, atol=1e-12)
 
 

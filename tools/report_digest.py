@@ -14,9 +14,9 @@ directory whose path is replaced by a fixed token before hashing, since
 `maslov` reports embed the loop path.  It prints one sha256 per workload,
 one over EXAMPLES, requests the benchmark never makes (the README's
 examples, every subcommand and output format, fields with exp and log,
-floer off the circle, connections and flow on rp2, and the usage
-errors), and the total of these four; run it on two checkouts and
-compare the totals.
+floer off the circle, connections and flow on rp2, flow from inside a
+capture ball and on torusN:4, and the usage errors), and the total of
+these four; run it on two checkouts and compare the totals.
 """
 
 from __future__ import annotations
@@ -71,6 +71,12 @@ EXAMPLES = (
     # the projective branch of connections and flow
     ("connections", *RP2),
     ("flow", *RP2, "--from", "1,0.2,0.1", "--out", "json"),
+    # flow from inside a capture ball (captured at once), and flow on a
+    # torus whose capture cells key on 3 of its 4 coordinates
+    ("flow", *RP2, "--from", "0,0,-1", "--out", "json"),
+    ("flow", "--manifold", "torusN:4", "--function",
+     "cos(2*pi*x1)+cos(2*pi*x2)+cos(2*pi*x3)+cos(2*pi*x4)", "--grid", "4",
+     "--from", "0.1,0.2,0.3,0.4"),
     # usage errors
     ("critpoints", *CIRCLE, "cos(2*pi*x1"),
     ("critpoints", *CIRCLE, "x1^\u00b2"),
